@@ -79,6 +79,86 @@ fn default_mode_matches_pre_pr_golden_digests() {
     }
 }
 
+/// Golden multi-mover compiles: (bench, machine, config seed) ->
+/// (`schedule_digest`, [`mover_plans_hash`], movers-per-layer histogram,
+/// layers saved, conflict rejections). Captured at commit `816da65`, the
+/// last commit with separate single-mover and multi-mover scheduler
+/// loops; the merged loop must reproduce every row byte-for-byte.
+type MultiGolden = (&'static str, &'static str, u64, u64, u64, [usize; 8], usize, usize);
+#[rustfmt::skip]
+const MULTI_GOLDEN: &[MultiGolden] = &[
+    ("GCM", "quera-256", 0, 0x1e0a6982373cc9e4, 0x313a0ded40710081, [483, 1, 0, 0, 0, 0, 0, 0], 1, 776),
+    ("GCM", "quera-256", 1, 0xb646994fd3009e91, 0x4ae49bf97d4eaa46, [404, 80, 0, 0, 0, 0, 0, 0], 80, 855),
+    ("GCM", "quera-256", 2, 0x0ed1aa0d49aa6642, 0x99b0e7371b86a6a2, [434, 0, 0, 0, 0, 0, 0, 0], 0, 452),
+    ("GCM", "atom-1225", 0, 0x56f16947395bc4dd, 0x313a0ded40710081, [483, 1, 0, 0, 0, 0, 0, 0], 1, 776),
+    ("GCM", "atom-1225", 1, 0x4f2fa43cd4714620, 0x4ae49bf97d4eaa46, [404, 80, 0, 0, 0, 0, 0, 0], 80, 855),
+    ("GCM", "atom-1225", 2, 0xb9b71040c09a3f4b, 0x99b0e7371b86a6a2, [434, 0, 0, 0, 0, 0, 0, 0], 0, 452),
+    ("QAOA", "quera-256", 0, 0x1660c2c08291f51b, 0xb2b9b6de87eced07, [46, 0, 0, 0, 0, 0, 0, 0], 0, 3),
+    ("QAOA", "quera-256", 1, 0x2cbcca0207a34da7, 0x680690c6cba574a5, [39, 0, 0, 0, 0, 0, 0, 0], 0, 0),
+    ("QAOA", "quera-256", 2, 0x55b8aa8817410fb3, 0x89f6800f9a314385, [42, 0, 0, 0, 0, 0, 0, 0], 0, 6),
+    ("QAOA", "atom-1225", 0, 0xb72fb50f2dcd3a6a, 0xb2b9b6de87eced07, [46, 0, 0, 0, 0, 0, 0, 0], 0, 3),
+    ("QAOA", "atom-1225", 1, 0x3654faef014bc7d6, 0x680690c6cba574a5, [39, 0, 0, 0, 0, 0, 0, 0], 0, 0),
+    ("QAOA", "atom-1225", 2, 0x8cececf646f83512, 0x89f6800f9a314385, [42, 0, 0, 0, 0, 0, 0, 0], 0, 6),
+    ("SECA", "quera-256", 0, 0xa949efbdf0b45195, 0xa3d015f6f22b4587, [19, 0, 0, 0, 0, 0, 0, 0], 0, 3),
+    ("SECA", "quera-256", 1, 0x6fa8ea9a6dd41992, 0xf2f2c99eb060e443, [36, 0, 0, 0, 0, 0, 0, 0], 0, 18),
+    ("SECA", "quera-256", 2, 0x8483e50070711634, 0x1111ce8d93180825, [41, 0, 0, 0, 0, 0, 0, 0], 0, 42),
+    ("SECA", "atom-1225", 0, 0xa0241a00a8cfa8f4, 0xa3d015f6f22b4587, [19, 0, 0, 0, 0, 0, 0, 0], 0, 3),
+    ("SECA", "atom-1225", 1, 0xaf8783350497d4b3, 0xf2f2c99eb060e443, [36, 0, 0, 0, 0, 0, 0, 0], 0, 18),
+    ("SECA", "atom-1225", 2, 0xcf1f6e421fa448a5, 0x1111ce8d93180825, [41, 0, 0, 0, 0, 0, 0, 0], 0, 42),
+    ("QV", "quera-256", 0, 0xfafde54db9fcfae9, 0x7a10ca6a16c8f261, [810, 28, 0, 0, 0, 0, 0, 0], 28, 796),
+    ("QV", "quera-256", 1, 0xd0ae12807a533cf6, 0x6f0de5663586da21, [812, 47, 0, 0, 0, 0, 0, 0], 47, 944),
+    ("QV", "quera-256", 2, 0x7e5705d2b247ea19, 0xcbafbae7947b924a, [416, 13, 0, 0, 0, 0, 0, 0], 13, 249),
+    ("QV", "atom-1225", 0, 0xc23260b8c627cee0, 0x7a10ca6a16c8f261, [810, 28, 0, 0, 0, 0, 0, 0], 28, 796),
+    ("QV", "atom-1225", 1, 0x65a4647caefbb8a3, 0x6f0de5663586da21, [812, 47, 0, 0, 0, 0, 0, 0], 47, 944),
+    ("QV", "atom-1225", 2, 0xf03aaa24c265935c, 0xcbafbae7947b924a, [416, 13, 0, 0, 0, 0, 0, 0], 13, 249),
+];
+
+/// FNV-1a over every layer's `mover_plans` (length-prefixed per layer),
+/// so a plan boundary moving between layers or within one changes it.
+fn mover_plans_hash(s: &Schedule) -> u64 {
+    let mut h = parallax_hardware::StableHasher::new();
+    for layer in &s.layers {
+        h.write_usize(layer.mover_plans.len());
+        for &k in &layer.mover_plans {
+            h.write_u64(u64::from(k));
+        }
+    }
+    h.finish()
+}
+
+/// The multi-mover arm pinned the same way as the default one: digest,
+/// per-layer plan boundaries and the ablation counters on both Table II
+/// machines, across seeds.
+#[test]
+fn multi_mover_mode_matches_golden_digests() {
+    let mut got = Vec::new();
+    for bench in ["GCM", "QAOA", "SECA", "QV"] {
+        for label in ["quera-256", "atom-1225"] {
+            for seed in 0..3u64 {
+                let c = bench_circuit(bench, seed);
+                let cfg = CompilerConfig::quick(seed).with_multi_mover();
+                let r = ParallaxCompiler::new(machine(label), cfg).compile(&c);
+                let mm = &r.schedule.stats.multi_mover;
+                assert!(mm.enabled, "multi-mover compile ran the default path");
+                got.push((
+                    bench,
+                    label,
+                    seed,
+                    schedule_digest(&r),
+                    mover_plans_hash(&r.schedule),
+                    mm.movers_per_layer,
+                    mm.layers_saved,
+                    mm.conflict_rejections,
+                ));
+            }
+        }
+    }
+    assert_eq!(got.len(), MULTI_GOLDEN.len());
+    for (row, want) in got.iter().zip(MULTI_GOLDEN) {
+        assert_eq!(row, want, "multi-mover compile no longer matches the golden row");
+    }
+}
+
 /// Compile `c` both ways through the public pipeline (shared placement
 /// and discretization, so the modes differ only in the scheduler),
 /// returning the schedules plus a copy of the layer-start array state

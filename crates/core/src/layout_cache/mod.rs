@@ -310,11 +310,10 @@ pub fn cached_layout(
     machine: &MachineSpec,
     placement: &PlacementConfig,
 ) -> GraphineLayout {
-    let _sp = parallax_trace::span!("stage.placement");
-    let started = profile::begin();
+    let mut t = profile::stage(Stage::Placement);
     let graph = InteractionGraph::from_circuit(circuit);
     let (layout, hit) = lookup_or_generate(&graph, machine, placement);
-    profile::record(Stage::Placement, started, if hit { 0 } else { layout.anneal_allocs as u64 });
+    t.set_allocs(if hit { 0 } else { layout.anneal_allocs as u64 });
     layout
 }
 

@@ -31,11 +31,12 @@
 //!   (`r * blockade_factor`), or the downstream ejection pass would kick
 //!   one gate out and its move would be wasted.
 //!
-//! The default path is untouched — every paper preset compiles through
-//! [`schedule_gates_single`] byte-identically — and this path reuses its
-//! exact machinery ([`SchedulerScratch`]: incremental frontier, failed-move
-//! memo, two-level plan cache, bucketed blockade pass, batched home
-//! return), so the two modes differ only in the per-layer movement rule.
+//! There is one layer loop, [`schedule_gates`]; this module holds only the
+//! multi-mover policy's state (`MultiMover`) and its corridor geometry.
+//! The loop's incremental frontier, move memo, bucketed blockade pass and
+//! batched home return serve both modes, so they differ only in frontier
+//! order, mover budget and ejection order, and every paper preset still
+//! compiles byte-identically in the default mode.
 //!
 //! # Corridor disjointness
 //!
@@ -58,19 +59,14 @@
 //! through it.
 //!
 //! [`SchedulingMode::MultiMover`]: crate::config::SchedulingMode::MultiMover
-//! [`schedule_gates_single`]: crate::scheduler::schedule_gates
-//! [`SchedulerScratch`]: crate::scheduler::SchedulerScratch
+//! [`schedule_gates`]: crate::scheduler::schedule_gates
 
-use crate::aod_select::AodSelection;
-use crate::config::CompilerConfig;
 use crate::discretize::DiscretizedLayout;
-use crate::profile::{self, Stage};
-use crate::scheduler::{
-    iteration_cap, record_moved_batch, return_home_batch, CompileStats, Schedule, ScheduledLayer,
-    SchedulerScratch,
-};
+use crate::movement::MovePlan;
 use parallax_circuit::{Circuit, DependencyDag, Gate, SlackTable};
-use parallax_hardware::{segment_distance, within_blockade, AodMove, CellGeometry, Point};
+use parallax_hardware::{
+    segment_distance, within_blockade, AodMove, AtomArray, CellGeometry, Point,
+};
 
 /// The interference region of one atom's motion within a move plan: the
 /// segment it sweeps from its pre-move position to its target.
@@ -95,12 +91,7 @@ pub fn corridors_conflict(a: &Corridor, b: &Corridor, clearance_um: f64) -> bool
 /// Final positions of gate `(a, b)`'s atoms once `plan` commits: a plan
 /// move's target if the atom is in the plan (chain pushes can relocate
 /// either operand), its current position otherwise.
-fn plan_pair(
-    array: &parallax_hardware::AtomArray,
-    moves: &[AodMove],
-    a: u32,
-    b: u32,
-) -> [Point; 2] {
+fn plan_pair(array: &AtomArray, moves: &[AodMove], a: u32, b: u32) -> [Point; 2] {
     let fp = |q: u32| {
         moves
             .iter()
@@ -236,410 +227,112 @@ impl CorridorIndex {
     }
 }
 
-/// Algorithm 1 with the multi-mover rule: per layer, movement candidates
-/// are visited in (ALAP deadline, operand distance, gate index) order and
-/// every plan whose interference region is disjoint from the layer's
-/// committed regions commits; conflicting candidates defer to a later
-/// layer (counted in [`MultiMoverStats::conflict_rejections`]). The
-/// blockade ejection pass keeps that deadline order instead of the default
-/// path's shuffle, so critical-path gates also win blockade contention.
-/// Everything else — trap-change fallback, batched home return — is the
-/// default path's machinery.
-///
-/// [`MultiMoverStats::conflict_rejections`]: crate::scheduler::MultiMoverStats
-pub fn schedule_gates_multi(
-    circuit: &Circuit,
-    layout: &mut DiscretizedLayout,
-    _selection: &AodSelection,
-    config: &CompilerConfig,
-) -> Schedule {
-    let gates = circuit.gates();
-    let num_gates = gates.len();
-    let qubit_gates = circuit.qubit_gates_csr();
-    let mut ptr = vec![0usize; circuit.num_qubits()];
-    let mut executed = vec![false; num_gates];
-    let mut executed_count = 0usize;
-    let r = layout.interaction_radius_um;
-    let blockade_factor = layout.array.spec().blockade_factor;
-    let transit_um = layout.array.spec().min_separation_um;
+/// The multi-mover layer policy's state: the ALAP deadlines that order the
+/// frontier, plus the corridors and final gate pairs committed so far this
+/// layer. [`crate::scheduler::schedule_gates`] owns the loop; this type
+/// only answers "which frontier order?" and "may this plan commit too?".
+pub(crate) struct MultiMover {
+    slack: SlackTable,
+    corridors: CorridorIndex,
+    committed_pairs: Vec<[Point; 2]>,
+    /// The last plan checked by [`MultiMover::disjoint`]: its corridors and
+    /// its gate's final pair, inserted if that plan commits.
+    candidate: Vec<Corridor>,
+    pair: [Point; 2],
+    r_um: f64,
+    blockade_factor: f64,
+}
 
-    let slack = SlackTable::compute(&DependencyDag::build(circuit));
+impl MultiMover {
+    pub(crate) fn new(circuit: &Circuit, layout: &DiscretizedLayout) -> Self {
+        let spec = layout.array.spec();
+        Self {
+            slack: SlackTable::compute(&DependencyDag::build(circuit)),
+            corridors: CorridorIndex::new(
+                spec.extent_um(),
+                layout.array.grid().pitch_um(),
+                spec.min_separation_um,
+            ),
+            committed_pairs: Vec::new(),
+            candidate: Vec::new(),
+            pair: [Point::default(); 2],
+            r_um: layout.interaction_radius_um,
+            blockade_factor: spec.blockade_factor,
+        }
+    }
 
-    let mut layers = Vec::new();
-    let mut stats = CompileStats {
-        cz_count: circuit.cz_count(),
-        u3_count: circuit.u3_count(),
-        ..Default::default()
-    };
-    stats.multi_mover.enabled = true;
-
-    let mut scratch =
-        SchedulerScratch::new(circuit.num_qubits(), num_gates, &layout.array, r * blockade_factor);
-    scratch.frontier.seed(gates, &qubit_gates, &ptr);
-    let mut corridors = CorridorIndex::new(
-        layout.array.spec().extent_um(),
-        layout.array.grid().pitch_um(),
-        transit_um,
-    );
-    let mut candidate: Vec<Corridor> = Vec::new();
-    let mut committed_pairs: Vec<[Point; 2]> = Vec::new();
-
-    let mut guard = 0usize;
-    let cap = iteration_cap(num_gates);
-    while executed_count < num_gates {
-        guard += 1;
-        assert!(guard <= cap, "scheduler livelock: {executed_count}/{num_gates} gates executed");
-
-        // ---- Dependency frontier, ordered by ALAP deadline. ----
-        let t_frontier = profile::begin();
-        let sp_frontier = parallax_trace::span!("schedule.frontier");
-        let curr = &mut scratch.curr;
-        scratch.frontier.collect(&qubit_gates, &ptr, curr);
-        drop(sp_frontier);
-        profile::record(Stage::ScheduleFrontier, t_frontier, 0);
-        assert!(!curr.is_empty(), "dependency frontier is empty before completion");
-        // Earliest ALAP deadline first: the frontier gate heading the
-        // longest outstanding dependency chain claims the movement budget
-        // and blockade space before anything else. Within a deadline
-        // class, gates whose operands are closest go first: their
-        // corridors are shortest, so they foreclose the least area for
-        // the candidates after them. Whole-µm distance buckets keep the
-        // order robust; gate index breaks the remaining ties
-        // deterministically.
+    /// Start a layer: forget the previous layer's regions and order the
+    /// frontier earliest ALAP deadline first, so the gate heading the
+    /// longest outstanding dependency chain claims the movement budget and
+    /// blockade space before anything else. Within a deadline class, gates
+    /// whose operands are closest go first: their corridors are shortest,
+    /// so they foreclose the least area for the candidates after them.
+    /// Whole-µm distance buckets keep the order robust; gate index breaks
+    /// the remaining ties deterministically.
+    pub(crate) fn begin_layer(&mut self, curr: &mut [usize], gates: &[Gate], array: &AtomArray) {
+        self.corridors.clear();
+        self.committed_pairs.clear();
         curr.sort_unstable_by_key(|&g| {
             let span = match gates[g] {
-                Gate::Cz { a, b } => layout.array.distance(a, b) as u64,
+                Gate::Cz { a, b } => array.distance(a, b) as u64,
                 Gate::U3 { .. } => 0,
             };
-            (slack.alap(g), span, g)
-        });
-
-        // ---- Movement resolution: every disjoint-corridor plan commits. ----
-        let t_movement = profile::begin();
-        let sp_movement = parallax_trace::span!("schedule.movement");
-        let mut committed_moves: Vec<AodMove> = Vec::new();
-        let mut mover_plans: Vec<u32> = Vec::new();
-        let mut move_distance_um = 0.0f64;
-        let mut trap_changes = 0usize;
-        let trap_changed = &mut scratch.trap_changed;
-        trap_changed.clear();
-        let kept = &mut scratch.kept;
-        kept.clear();
-        let mut deferred = 0usize;
-        corridors.clear();
-        committed_pairs.clear();
-
-        for &g in curr.iter() {
-            let Gate::Cz { a, b } = gates[g] else {
-                kept.push(g);
-                continue;
-            };
-            if layout.array.distance(a, b) <= r + 1e-9 {
-                kept.push(g);
-                continue;
-            }
-            let aod_operand = if layout.array.is_aod(a) {
-                Some(a)
-            } else if layout.array.is_aod(b) {
-                Some(b)
-            } else {
-                None
-            };
-            match aod_operand {
-                Some(mover) => {
-                    let target = if mover == a { b } else { a };
-                    if scratch.memo.still_failed(&layout.array, mover, target) {
-                        stats.failed_moves += 1;
-                        trap_changes += 1;
-                        trap_changed.push((g, mover));
-                        kept.push(g);
-                        continue;
-                    }
-                    let mut attempt = scratch.plans.plan(
-                        &layout.array,
-                        mover,
-                        target,
-                        r,
-                        config.max_move_recursion,
-                    );
-                    if attempt.is_err() && layout.array.is_aod(target) {
-                        attempt = scratch.plans.plan(
-                            &layout.array,
-                            target,
-                            mover,
-                            r,
-                            config.max_move_recursion,
-                        );
-                    }
-                    match attempt {
-                        Ok(mut plan) => {
-                            // No atom of this plan was moved by an earlier
-                            // plan this layer (that would be a same-qubit
-                            // conflict), so its pre-move positions are the
-                            // layer-start positions and the concatenated
-                            // layer batch replays from the layer boundary.
-                            let collect =
-                                |plan: &crate::movement::MovePlan, out: &mut Vec<Corridor>| {
-                                    out.clear();
-                                    for m in &plan.moves {
-                                        out.push(Corridor {
-                                            q: m.q,
-                                            from: layout.array.position(m.q),
-                                            to: Point::new(m.x, m.y),
-                                        });
-                                    }
-                                };
-                            collect(&plan, &mut candidate);
-                            let mut pair = plan_pair(&layout.array, &plan.moves, a, b);
-                            if corridors.conflicts_any(&candidate)
-                                || pair_blockaded(&pair, &committed_pairs, r, blockade_factor)
-                            {
-                                // The reverse mover starts from a different
-                                // home, so its corridor may clear committed
-                                // corridors the forward one crossed.
-                                let reverse = if layout.array.is_aod(target) {
-                                    scratch
-                                        .plans
-                                        .plan(
-                                            &layout.array,
-                                            target,
-                                            mover,
-                                            r,
-                                            config.max_move_recursion,
-                                        )
-                                        .ok()
-                                        .filter(|p| {
-                                            collect(p, &mut candidate);
-                                            pair = plan_pair(&layout.array, &p.moves, a, b);
-                                            !corridors.conflicts_any(&candidate)
-                                                && !pair_blockaded(
-                                                    &pair,
-                                                    &committed_pairs,
-                                                    r,
-                                                    blockade_factor,
-                                                )
-                                        })
-                                } else {
-                                    None
-                                };
-                                match reverse {
-                                    Some(p) => plan = p,
-                                    None => {
-                                        stats.multi_mover.conflict_rejections += 1;
-                                        deferred += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                            record_moved_batch(
-                                &mut scratch.home_pos,
-                                &mut scratch.moved_list,
-                                &mut scratch.moved_stamp,
-                                &layout.array,
-                                &plan.moves,
-                                guard as u64,
-                            );
-                            layout
-                                .array
-                                .apply_aod_moves(&plan.moves)
-                                .expect("validated plan must commit");
-                            for c in candidate.drain(..) {
-                                corridors.insert(c);
-                            }
-                            committed_pairs.push(pair);
-                            mover_plans.push(plan.moves.len() as u32);
-                            committed_moves.extend_from_slice(&plan.moves);
-                            move_distance_um = move_distance_um.max(plan.max_distance_um);
-                            stats.moves_planned += 1;
-                            stats.total_move_distance_um += plan.max_distance_um;
-                            kept.push(g);
-                        }
-                        Err(_) => {
-                            scratch.memo.record(&layout.array, mover, target);
-                            stats.failed_moves += 1;
-                            trap_changes += 1;
-                            trap_changed.push((g, mover));
-                            kept.push(g);
-                        }
-                    }
-                }
-                None => {
-                    trap_changes += 1;
-                    trap_changed.push((g, a));
-                    kept.push(g);
-                }
-            }
-        }
-        stats.deferred_gates += deferred;
-
-        // Later plans may have chain-pushed operands of earlier kept gates
-        // out of range; those defer (they cannot move again this layer).
-        if !mover_plans.is_empty() {
-            kept.retain(|&g| match gates[g] {
-                Gate::Cz { a, b } => {
-                    let in_range = layout.array.distance(a, b) <= r + 1e-9
-                        || trap_changed.iter().any(|&(tg, _)| tg == g);
-                    if !in_range {
-                        stats.deferred_gates += 1;
-                    }
-                    in_range
-                }
-                _ => true,
-            });
-        }
-
-        // ---- Rydberg blockade interference ejection. ----
-        // The default path shuffles `kept` so no gate is starved by a fixed
-        // ejection order. Here `kept` is already in (deadline, span, index)
-        // order, and keeping it ordered lets critical-path gates win
-        // blockade contention: the first gate in order is inserted into an
-        // empty blockade index and can never be ejected, so every layer
-        // still executes at least one frontier CZ and progress is
-        // guaranteed without the shuffle.
-        drop(sp_movement);
-        profile::record(Stage::ScheduleMovement, t_movement, 0);
-
-        let t_blockade = profile::begin();
-        let blockade_allocs_before = scratch.blockade.allocs;
-        let sp_blockade = parallax_trace::span!("schedule.blockade");
-        for &g in kept.iter() {
-            if let Gate::Cz { a, b } = gates[g] {
-                let mut pa = layout.array.position(a);
-                let mut pb = layout.array.position(b);
-                if let Some(&(_, moved)) = trap_changed.iter().find(|&&(tg, _)| tg == g) {
-                    if moved == a {
-                        pa = pb;
-                    } else if moved == b {
-                        pb = pa;
-                    }
-                }
-                scratch.eff_pos[g] = [pa, pb];
-                scratch.eff_stamp[g] = guard as u64;
-            }
-        }
-        let accepted = &mut scratch.accepted;
-        accepted.clear();
-        scratch.blockade.clear();
-        for &g in kept.iter() {
-            match gates[g] {
-                Gate::U3 { .. } => accepted.push(g),
-                Gate::Cz { .. } => {
-                    debug_assert_eq!(scratch.eff_stamp[g], guard as u64);
-                    let mine = scratch.eff_pos[g];
-                    let conflict =
-                        mine.iter().any(|p| scratch.blockade.conflicts(*p, r, blockade_factor));
-                    if conflict {
-                        stats.blockade_ejections += 1;
-                        if let Some(pos) = trap_changed.iter().position(|&(tg, _)| tg == g) {
-                            trap_changed.remove(pos);
-                            trap_changes -= 1;
-                        }
-                    } else {
-                        accepted.push(g);
-                        scratch.blockade.insert(mine[0]);
-                        scratch.blockade.insert(mine[1]);
-                    }
-                }
-            }
-        }
-        drop(sp_blockade);
-        profile::record(
-            Stage::ScheduleBlockade,
-            t_blockade,
-            (scratch.blockade.allocs - blockade_allocs_before) as u64,
-        );
-        assert!(
-            !accepted.is_empty(),
-            "blockade pass emptied a layer: curr={curr:?} kept={kept:?} movers={} trap_changed={trap_changed:?}",
-            mover_plans.len()
-        );
-
-        // ---- Execute. ----
-        let mut has_u3 = false;
-        let mut has_cz = false;
-        let advanced = &mut scratch.advanced;
-        advanced.clear();
-        for &g in accepted.iter() {
-            executed[g] = true;
-            executed_count += 1;
-            match gates[g] {
-                Gate::U3 { q, .. } => {
-                    has_u3 = true;
-                    ptr[q as usize] += 1;
-                    advanced.push(q);
-                }
-                Gate::Cz { a, b } => {
-                    has_cz = true;
-                    ptr[a as usize] += 1;
-                    ptr[b as usize] += 1;
-                    advanced.push(a);
-                    advanced.push(b);
-                }
-            }
-        }
-        let t_frontier = profile::begin();
-        let sp_frontier = parallax_trace::span!("schedule.frontier");
-        scratch.frontier.advance(advanced, gates, &qubit_gates, &ptr);
-        drop(sp_frontier);
-        profile::record(Stage::ScheduleFrontier, t_frontier, 0);
-
-        // ---- Return moved atoms home. ----
-        let t_return = profile::begin();
-        let sp_return = parallax_trace::span!("schedule.return");
-        let mut return_distance_um = 0.0;
-        if config.return_home {
-            return_distance_um = return_home_batch(
-                &scratch.home_pos,
-                &scratch.moved_list,
-                &scratch.moved_stamp,
-                &mut scratch.return_moves,
-                &mut scratch.return_skips,
-                &mut layout.array,
-                guard as u64,
-            );
-        }
-        drop(sp_return);
-        profile::record(Stage::ScheduleReturn, t_return, 0);
-
-        stats.layer_count += 1;
-        stats.trap_changes += trap_changes;
-        let movers = mover_plans.len();
-        if movers > 0 {
-            stats.multi_mover.movers_per_layer[movers.min(8) - 1] += 1;
-            stats.multi_mover.layers_saved += movers - 1;
-        }
-        layers.push(ScheduledLayer {
-            gate_indices: accepted.clone(),
-            moves: committed_moves,
-            mover_plans,
-            move_distance_um,
-            return_distance_um,
-            trap_changes,
-            has_u3,
-            has_cz,
+            (self.slack.alap(g), span, g)
         });
     }
-    stats.failed_move_memo_hits = scratch.memo.hits;
-    stats.plan_cache_hits = scratch.plans.memo.hits;
-    stats.plan_cache_cross_hits = scratch.plans.cross_hits;
-    stats.bucket_scratch_allocs = scratch.blockade.allocs;
-    stats.home_return_skips = scratch.return_skips;
-    stats.publish_metrics();
 
-    let schedule = Schedule { layers, stats };
-    debug_assert!(
-        DependencyDag::build(circuit).respects_order(&schedule.gate_order()),
-        "schedule violates gate dependencies"
-    );
-    schedule
+    /// Decide whether gate `(a, b)`'s `plan` may join the layer's committed
+    /// plans. If its region meets a committed one, the reverse-mover plan
+    /// from `reverse` gets a chance: it starts from a different home, so
+    /// its corridor may clear what the forward one crossed. Returns the
+    /// plan to commit and records its region, or `None` (a conflict
+    /// rejection; the gate defers).
+    pub(crate) fn admit(
+        &mut self,
+        array: &AtomArray,
+        plan: MovePlan,
+        a: u32,
+        b: u32,
+        reverse: impl FnOnce() -> Option<MovePlan>,
+    ) -> Option<MovePlan> {
+        let plan = if self.disjoint(array, &plan, a, b) {
+            plan
+        } else {
+            reverse().filter(|p| self.disjoint(array, p, a, b))?
+        };
+        // No atom of the plan was moved by an earlier plan this layer (that
+        // would be a same-qubit conflict), so its pre-move positions are the
+        // layer-start positions and the concatenated layer batch replays
+        // from the layer boundary.
+        for c in self.candidate.drain(..) {
+            self.corridors.insert(c);
+        }
+        self.committed_pairs.push(self.pair);
+        Some(plan)
+    }
+
+    /// Whether `plan`'s transit corridors and its gate's final pair are
+    /// disjoint from everything committed this layer.
+    fn disjoint(&mut self, array: &AtomArray, plan: &MovePlan, a: u32, b: u32) -> bool {
+        self.candidate.clear();
+        self.candidate.extend(plan.moves.iter().map(|m| Corridor {
+            q: m.q,
+            from: array.position(m.q),
+            to: Point::new(m.x, m.y),
+        }));
+        self.pair = plan_pair(array, &plan.moves, a, b);
+        !self.corridors.conflicts_any(&self.candidate)
+            && !pair_blockaded(&self.pair, &self.committed_pairs, self.r_um, self.blockade_factor)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aod_select::select_aod_qubits;
+    use crate::config::CompilerConfig;
     use crate::discretize::discretize;
-    use crate::scheduler::schedule_gates;
+    use crate::scheduler::{schedule_gates, Schedule};
     use parallax_circuit::CircuitBuilder;
     use parallax_graphine::GraphineLayout;
     use parallax_hardware::MachineSpec;

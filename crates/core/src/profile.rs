@@ -1,10 +1,12 @@
-//! Cheap opt-in pipeline profiling.
+//! Pipeline stage timing: one guard per timed interval.
 //!
-//! Set `PARALLAX_PROFILE=1` to record, per pipeline stage, the call count,
-//! cumulative wall-clock time, and the annealer's heap-allocation count.
-//! When the variable is unset the instrumentation collapses to one branch
-//! on a cached boolean per stage — no `Instant::now`, no atomics — so the
-//! compile hot path pays nothing.
+//! [`stage`] opens the stage's span (`stage.*` / `schedule.*`, the names
+//! the trace ring and Chrome exports show) and, when profiling is on, adds
+//! the interval to the stage counters on drop. `PARALLAX_PROFILE=1` is a
+//! view over the span clock, not a second timer: with tracing on as well,
+//! the counters receive exactly the duration the span writes to the ring.
+//! With both off, a guard costs one relaxed load and one cached-boolean
+//! branch — no clock reads, no atomics.
 //!
 //! Counters live in the process-wide `parallax-trace` metrics registry
 //! (families `parallax_stage_calls_total`, `parallax_stage_time_ns_total`,
@@ -14,9 +16,8 @@
 //! numbers appear in the `METRICS` Prometheus exposition, and the
 //! `experiments` binary prints the table after a profiled run.
 
-use parallax_trace::Counter;
+use parallax_trace::{Counter, Span};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// The profiled pipeline stages, in pipeline order. The `Schedule*`
 /// entries are sub-stages of `Schedule`: they partition the scheduler's
@@ -93,28 +94,63 @@ pub fn force_enable() {
     let _ = ENABLED.set(true);
 }
 
-/// Start timing a stage; `None` (and therefore zero cost downstream) when
-/// profiling is disabled.
-#[inline]
-pub fn begin() -> Option<Instant> {
-    if enabled() {
-        Some(Instant::now())
-    } else {
-        None
+/// Span names, indexed by `Stage as usize`.
+const SPAN_NAMES: [&str; 8] = [
+    "stage.placement",
+    "stage.discretize",
+    "stage.aod_select",
+    "stage.schedule",
+    "schedule.frontier",
+    "schedule.movement",
+    "schedule.blockade",
+    "schedule.return",
+];
+
+/// An open stage interval; see [`stage`].
+pub struct StageGuard {
+    stage: Stage,
+    span: Span,
+    /// Whether the interval feeds the stage counters (profiling latched on).
+    profiled: bool,
+    /// Own start reading, taken only when profiling without a live span.
+    start_ns: u64,
+    allocs: u64,
+}
+
+impl StageGuard {
+    /// Heap allocations to report for this interval (placement: the
+    /// annealer's; blockade: the bucket scratch's growth).
+    pub fn set_allocs(&mut self, allocs: u64) {
+        self.allocs = allocs;
     }
 }
 
-/// Record a stage completion started at `begin()`'s return. A `None` start
-/// (profiling disabled) is a no-op.
-#[inline]
-pub fn record(stage: Stage, started: Option<Instant>, allocs: u64) {
-    if let Some(t0) = started {
-        record_raw(stage, t0.elapsed().as_nanos() as u64, allocs);
+impl Drop for StageGuard {
+    fn drop(&mut self) {
+        let traced = self.span.close();
+        if self.profiled {
+            let ns =
+                traced.unwrap_or_else(|| parallax_trace::now_ns().saturating_sub(self.start_ns));
+            record_raw(self.stage, ns, self.allocs);
+        }
     }
 }
 
-/// Record a stage observation directly (used by [`record`] and by tests,
-/// which cannot set the environment variable process-wide).
+/// Time `stage` until the returned guard drops: its span when tracing is
+/// on, its counters when profiling is on, both from the same clock reads.
+#[inline]
+#[must_use = "the stage is timed until the guard drops"]
+pub fn stage(stage: Stage) -> StageGuard {
+    static NAME_IDS: [OnceLock<u32>; 8] = [const { OnceLock::new() }; 8];
+    let i = stage as usize;
+    let span = Span::enter_interned(&NAME_IDS[i], SPAN_NAMES[i]);
+    let profiled = enabled();
+    let start_ns = if profiled && !span.is_active() { parallax_trace::now_ns() } else { 0 };
+    StageGuard { stage, span, profiled, start_ns, allocs: 0 }
+}
+
+/// Record a stage observation directly (used by [`StageGuard`] and by
+/// tests, which cannot set the environment variable process-wide).
 pub fn record_raw(stage: Stage, time_ns: u64, allocs: u64) {
     let c = &table()[stage as usize];
     c.calls.inc();
@@ -166,15 +202,6 @@ pub fn render() -> String {
     out
 }
 
-/// Zero every counter (test isolation).
-pub fn reset() {
-    for c in table() {
-        c.calls.reset();
-        c.time_ns.reset();
-        c.allocs.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,11 +231,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_begin_is_none_without_env() {
-        // The test environment never sets PARALLAX_PROFILE, so begin() must
-        // stay on the zero-cost path.
-        if std::env::var("PARALLAX_PROFILE").is_err() {
-            assert!(begin().is_none());
+    fn unprofiled_guard_records_nothing() {
+        // The test environment never sets PARALLAX_PROFILE (and nothing in
+        // this crate forces it on), so a guard must not touch the counters.
+        if !enabled() {
+            let before = snapshot()[Stage::ScheduleReturn as usize];
+            let mut guard = stage(Stage::ScheduleReturn);
+            guard.set_allocs(5);
+            drop(guard);
+            assert_eq!(snapshot()[Stage::ScheduleReturn as usize], before);
         }
     }
 }

@@ -8,10 +8,15 @@
 //! unexecuted list; and moved AOD atoms return to their pre-layer homes
 //! after execution (the Fig. 12 ablation toggles this off).
 //!
+//! [`schedule_gates`] is the one layer loop for both scheduling modes. The
+//! multi-mover ablation ([`crate::multi_mover`]) changes three things
+//! through a private `LayerPolicy`: frontier order, how many plans a layer
+//! may commit, and ejection order. `docs/SCHEDULING.md` records the design.
+//!
 //! # The hot path
 //!
 //! On large circuits the scheduler dominates warm-cache compiles, so its
-//! per-layer loop is engineered around five structures, each bit-identical
+//! per-layer loop is engineered around four structures, each bit-identical
 //! to the straightforward implementation it replaces (`schedule_gates_naive`
 //! is kept under `#[cfg(any(test, debug_assertions))]` as the oracle, and
 //! proptests diff the two on random circuits):
@@ -25,31 +30,27 @@
 //!   tested only against endpoints in the neighbouring cells instead of
 //!   all accepted gates (the conflict predicate is unchanged, so the
 //!   accept/eject decisions are identical);
-//! * **failed-move memoization** — a gate whose endpoint probes all failed
-//!   is not re-probed in later layers while the AOD configuration is
-//!   unchanged (position-epoch fast path, exact position comparison
-//!   fallback), because the planner is a pure function of the array state;
-//! * **successful-plan caching** — the dual of the failed-move memo plus a
-//!   process-wide cross-compile layer ([`crate::layout_cache::PlanCache`]):
-//!   a gate whose move was planned before against the exact current AOD
-//!   configuration (the home-return steady state, within a compile or
-//!   across repeat compiles of the same layout) reuses the recorded plan
-//!   instead of re-running the endpoint cascade, with
-//!   [`CompileStats::plan_cache_hits`]/[`CompileStats::plan_cache_cross_hits`]
-//!   counting the savings;
-//! * a reusable [`SchedulerScratch`] so the per-layer loop performs no
-//!   allocations beyond the `ScheduledLayer` outputs themselves.
+//! * a **move memo** (`MoveMemo`) — each `(mover, target)` probe
+//!   cascade's outcome, success or failure, is reused while the AOD
+//!   configuration is the one it was computed against (position-epoch fast
+//!   path, exact position comparison fallback), because the planner is a
+//!   pure function of the array state; misses consult the process-wide
+//!   [`crate::layout_cache::PlanCache`] before planning, so repeat compiles
+//!   of one layout skip the cascade too;
+//! * per-compile scratch vectors, cleared between layers, so the loop
+//!   performs no allocations beyond the `ScheduledLayer` outputs themselves.
 //!
-//! `PARALLAX_PROFILE=1` additionally records per-sub-stage timers
-//! (frontier / movement / blockade / return-home) through
-//! [`crate::profile`], one call per executed layer.
+//! Each sub-stage interval (frontier / movement / blockade / return-home)
+//! is one [`crate::profile::stage`] guard: a span under `PARALLAX_TRACE=1`,
+//! stage counters under `PARALLAX_PROFILE=1`.
 
 use crate::aod_select::AodSelection;
-use crate::config::CompilerConfig;
+use crate::config::{CompilerConfig, SchedulingMode};
 use crate::discretize::DiscretizedLayout;
 #[cfg(any(test, debug_assertions))]
 use crate::movement::plan_return_home;
 use crate::movement::{plan_move_into_range, MovePlan};
+use crate::multi_mover::MultiMover;
 use crate::profile::{self, Stage};
 use parallax_circuit::{Circuit, DependencyDag, Gate, QubitGatesCsr};
 use parallax_hardware::{within_blockade, AodMove, AtomArray, CellGeometry, Point};
@@ -57,6 +58,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// One executed layer of the compiled schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,13 +111,14 @@ pub struct CompileStats {
     pub deferred_gates: usize,
     /// Gates ejected by the Rydberg blockade interference check.
     pub blockade_ejections: usize,
-    /// [`CompileStats::failed_moves`] answered by the failed-move memo
-    /// table instead of a fresh probe cascade (a scheduling-cost counter;
-    /// the compiled schedule is identical with the memo off).
+    /// Move-direction queries answered by a failure recorded in the
+    /// per-compile move memo instead of a fresh probe cascade (a gate that
+    /// fails in both directions counts twice). A scheduling-cost counter:
+    /// the compiled schedule is identical with the memo off.
     pub failed_move_memo_hits: usize,
-    /// Successful move plans answered by the **per-compile** plan memo
+    /// Successful move plans answered by the **per-compile** move memo
     /// (the home-return steady state: the same gate re-planned against an
-    /// AOD configuration that returned to a recorded one). Like the memo
+    /// AOD configuration that returned to a recorded one). Like the failure
     /// hits, a scheduling-cost counter — reused plans are bit-identical
     /// to fresh cascades by planner purity, so the schedule is unchanged.
     pub plan_cache_hits: usize,
@@ -246,7 +249,7 @@ impl Schedule {
 }
 
 /// Safety factor on scheduling iterations before declaring livelock.
-pub(crate) fn iteration_cap(num_gates: usize) -> usize {
+fn iteration_cap(num_gates: usize) -> usize {
     10 * num_gates + 1000
 }
 
@@ -264,7 +267,7 @@ pub(crate) fn iteration_cap(num_gates: usize) -> usize {
 /// ready exactly when the partner's pointer reaches it. Rebuilding `curr`
 /// from the sorted emitter list therefore reproduces the naive full scan's
 /// gate order at every layer by construction.
-pub(crate) struct Frontier {
+struct Frontier {
     emits: Vec<bool>,
     /// Emitting qubits, ascending (the naive scan's visit order).
     emitters: Vec<u32>,
@@ -303,14 +306,14 @@ impl Frontier {
     }
 
     /// Initial population: one full scan, identical to the naive rebuild.
-    pub(crate) fn seed(&mut self, gates: &[Gate], qubit_gates: &QubitGatesCsr, ptr: &[usize]) {
+    fn seed(&mut self, gates: &[Gate], qubit_gates: &QubitGatesCsr, ptr: &[usize]) {
         for q in 0..self.emits.len() {
             self.refresh(q, gates, qubit_gates, ptr);
         }
     }
 
     /// Update after a layer advanced the pointers of `advanced` qubits.
-    pub(crate) fn advance(
+    fn advance(
         &mut self,
         advanced: &[u32],
         gates: &[Gate],
@@ -331,12 +334,7 @@ impl Frontier {
 
     /// Write the current layer's gate list into `curr` (ascending emitter
     /// order, one gate per emitter — a gate's emitter is unique).
-    pub(crate) fn collect(
-        &self,
-        qubit_gates: &QubitGatesCsr,
-        ptr: &[usize],
-        curr: &mut Vec<usize>,
-    ) {
+    fn collect(&self, qubit_gates: &QubitGatesCsr, ptr: &[usize], curr: &mut Vec<usize>) {
         curr.clear();
         for &q in &self.emitters {
             curr.push(qubit_gates.row(q as usize)[ptr[q as usize]] as usize);
@@ -355,7 +353,7 @@ impl Frontier {
 /// of every accepted gate. The cell math is the hardware crate's
 /// [`CellGeometry`] — the same clamped-superset guarantees as the atom
 /// occupancy index. Cleared per layer via the occupied-cell list.
-pub(crate) struct BlockadeIndex {
+struct BlockadeIndex {
     cells: CellGeometry,
     /// Query reach, µm: the blockade radius plus slack covering
     /// [`within_blockade`]'s `+1e-9` squared-distance epsilon — the
@@ -369,7 +367,7 @@ pub(crate) struct BlockadeIndex {
     /// every capacity growth of a bucket or the occupied list. Feeds
     /// [`CompileStats::bucket_scratch_allocs`] — `clear` keeps capacity,
     /// so a compile's count plateaus once the per-layer working set fits.
-    pub(crate) allocs: usize,
+    allocs: usize,
 }
 
 impl BlockadeIndex {
@@ -384,14 +382,14 @@ impl BlockadeIndex {
         }
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         for &b in &self.occupied {
             self.buckets[b].clear();
         }
         self.occupied.clear();
     }
 
-    pub(crate) fn insert(&mut self, p: Point) {
+    fn insert(&mut self, p: Point) {
         let b = self.cells.cell_of(p);
         if self.buckets[b].is_empty() {
             if self.occupied.len() == self.occupied.capacity() {
@@ -407,7 +405,7 @@ impl BlockadeIndex {
 
     /// Whether any stored endpoint blockades `p` (exactly the naive
     /// all-pairs predicate, restricted to the cells that can contain hits).
-    pub(crate) fn conflicts(&self, p: Point, r: f64, factor: f64) -> bool {
+    fn conflicts(&self, p: Point, r: f64, factor: f64) -> bool {
         let mut hit = false;
         self.cells.for_each_cell_within(p, self.reach_um, |cell| {
             if !hit {
@@ -419,362 +417,163 @@ impl BlockadeIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Failed-move memoization
+// Move memoization (per-compile memo + cross-compile layer)
 // ---------------------------------------------------------------------------
 
-/// Per-compile memo of failed movement plans.
+/// Per-compile memo of movement plans, successes and failures alike, in
+/// front of the process-wide [`crate::layout_cache::PlanCache`].
 ///
 /// [`plan_move_into_range`] is a pure function of the array state and its
 /// `(mover, target)` arguments, and the only array mutations during
 /// scheduling are AOD move batches — SLM atoms never move (trap changes
-/// are virtual). A failed probe cascade therefore stays failed for as long
-/// as no AOD atom has a different position than when it failed. Each entry
-/// snapshots every AOD atom's position at failure time; a later query hits
-/// when the array's position epoch is unchanged (nothing at all moved) or,
-/// after the epoch moved on, when an exact comparison shows the AOD
-/// configuration returned to the recorded one (the common case under
-/// home-return, where every layer's moves are undone).
-pub(crate) struct FailedMoveMemo {
+/// are virtual). An outcome recorded against an AOD configuration is
+/// therefore exactly what a fresh probe cascade would produce whenever
+/// that configuration recurs. Each entry holds one direction's outcome
+/// (`Some` plan or `None` for a failed cascade) plus every AOD atom's
+/// position at record time (one snapshot per epoch, shared by the entries
+/// recorded in it); a later query reuses it when the array's
+/// position epoch is unchanged (nothing at all moved) or, after the epoch
+/// moved on, when an exact comparison shows the AOD configuration returned
+/// to the recorded one — the home-return steady state, where every layer's
+/// moves are undone — and then re-arms the epoch fast path.
+///
+/// The interaction radius and recursion budget are fixed for a compile, so
+/// they are not part of the key. A memo miss probes the cross-compile cache
+/// (exact-state verified, knobs included) before running the cascade; only
+/// successful plans are published there.
+struct MoveMemo {
     entries: HashMap<(u32, u32), MemoEntry>,
-    pub(crate) hits: usize,
+    /// Static half of the cross-compile key, computed once per compile
+    /// (SLM atoms never move while scheduling runs).
+    static_fp: u64,
+    /// The AOD configuration of the latest epoch that missed, computed once
+    /// per epoch.
+    aod: Option<AodConfig>,
+    /// Queries answered by a recorded success.
+    ok_hits: usize,
+    /// Queries answered by a recorded failure.
+    err_hits: usize,
+    /// Memo misses answered by the cross-compile cache.
+    cross_hits: usize,
+}
+
+struct AodConfig {
+    epoch: u64,
+    /// The cross-compile key's AOD half.
+    fingerprint: u64,
+    /// Shared by every entry recorded in this epoch.
+    snapshot: Rc<[(u32, Point)]>,
 }
 
 struct MemoEntry {
     epoch: u64,
-    aod_snapshot: Vec<(u32, Point)>,
+    aod_snapshot: Rc<[(u32, Point)]>,
+    plan: Option<MovePlan>,
 }
 
-impl FailedMoveMemo {
-    fn new() -> Self {
-        Self { entries: HashMap::new(), hits: 0 }
-    }
-
-    /// Whether a recorded failure for `(mover, target)` is still valid.
-    /// Re-arms the epoch fast path when the configuration matches under a
-    /// newer epoch.
-    pub(crate) fn still_failed(&mut self, array: &AtomArray, mover: u32, target: u32) -> bool {
-        let Some(entry) = self.entries.get_mut(&(mover, target)) else {
-            return false;
-        };
-        if entry.epoch == array.positions_epoch() {
-            self.hits += 1;
-            return true;
-        }
-        if array.aod_config_matches(&entry.aod_snapshot) {
-            entry.epoch = array.positions_epoch();
-            self.hits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Record that `(mover, target)` failed against the current state.
-    pub(crate) fn record(&mut self, array: &AtomArray, mover: u32, target: u32) {
-        let mut aod_snapshot = Vec::new();
-        array.aod_snapshot(&mut aod_snapshot);
-        self.entries
-            .insert((mover, target), MemoEntry { epoch: array.positions_epoch(), aod_snapshot });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Successful-plan caching (per-compile memo + cross-compile layer)
-// ---------------------------------------------------------------------------
-
-/// Per-compile memo of **successful** movement plans, the dual of
-/// [`FailedMoveMemo`] with the same validity argument: the planner is a
-/// pure function of the array state and its arguments, and only AOD move
-/// batches mutate the array during scheduling, so a plan recorded against
-/// an AOD configuration is exactly what a fresh cascade would produce
-/// whenever that configuration recurs. Under home-return the configuration
-/// recurs every layer (atoms move out and back), which makes the epoch
-/// re-arm path the steady state on repetitive circuits.
-pub(crate) struct PlanMemo {
-    entries: HashMap<(u32, u32), PlanMemoEntry>,
-    pub(crate) hits: usize,
-}
-
-struct PlanMemoEntry {
-    epoch: u64,
-    aod_snapshot: Vec<(u32, Point)>,
-    plan: MovePlan,
-}
-
-impl PlanMemo {
-    fn new() -> Self {
-        Self { entries: HashMap::new(), hits: 0 }
-    }
-
-    /// The recorded plan for `(mover, target)` if the AOD configuration is
-    /// exactly the one it was planned against (epoch fast path, exact
-    /// snapshot fallback that re-arms the epoch).
-    fn lookup(&mut self, array: &AtomArray, mover: u32, target: u32) -> Option<MovePlan> {
-        let entry = self.entries.get_mut(&(mover, target))?;
-        if entry.epoch == array.positions_epoch() {
-            self.hits += 1;
-            return Some(entry.plan.clone());
-        }
-        if array.aod_config_matches(&entry.aod_snapshot) {
-            entry.epoch = array.positions_epoch();
-            self.hits += 1;
-            Some(entry.plan.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Record a fresh success against the current state.
-    fn record(&mut self, array: &AtomArray, mover: u32, target: u32, plan: MovePlan) {
-        let mut aod_snapshot = Vec::new();
-        array.aod_snapshot(&mut aod_snapshot);
-        self.entries.insert(
-            (mover, target),
-            PlanMemoEntry { epoch: array.positions_epoch(), aod_snapshot, plan },
-        );
-    }
-}
-
-/// The scheduler's two-level plan-reuse state: the per-compile [`PlanMemo`]
-/// plus the content address into the process-wide
-/// [`crate::layout_cache::PlanCache`]. The static half of the key is
-/// computed once per compile (SLM atoms never move while scheduling runs);
-/// the AOD half is re-fingerprinted at most once per position epoch.
-pub(crate) struct PlanCaches {
-    pub(crate) memo: PlanMemo,
-    static_fp: u64,
-    aod_fp: u64,
-    aod_fp_epoch: u64,
-    aod_fp_valid: bool,
-    pub(crate) cross_hits: usize,
-}
-
-impl PlanCaches {
+impl MoveMemo {
     fn new(array: &AtomArray) -> Self {
         Self {
-            memo: PlanMemo::new(),
+            entries: HashMap::new(),
             static_fp: array.static_fingerprint(),
-            aod_fp: 0,
-            aod_fp_epoch: 0,
-            aod_fp_valid: false,
+            aod: None,
+            ok_hits: 0,
+            err_hits: 0,
             cross_hits: 0,
         }
     }
 
-    fn aod_fp(&mut self, array: &AtomArray) -> u64 {
-        if !self.aod_fp_valid || self.aod_fp_epoch != array.positions_epoch() {
-            self.aod_fp = array.aod_fingerprint();
-            self.aod_fp_epoch = array.positions_epoch();
-            self.aod_fp_valid = true;
-        }
-        self.aod_fp
-    }
-
-    /// [`plan_move_into_range`] behind both cache levels: the per-compile
-    /// memo first, then the cross-compile cache (exact-state verified),
-    /// then the real probe cascade — recording a success in both layers.
-    /// Bit-identical to calling the planner directly, by purity plus the
-    /// exact-configuration checks on every reuse.
-    pub(crate) fn plan(
+    /// [`plan_move_into_range`] behind the memo and the cross-compile
+    /// cache; `None` when the probe cascade fails. Bit-identical to calling
+    /// the planner directly, by purity plus the exact-configuration checks
+    /// on every reuse.
+    fn plan(
         &mut self,
         array: &AtomArray,
         mover: u32,
         target: u32,
         r_um: f64,
         max_recursion: usize,
-    ) -> Result<MovePlan, crate::movement::MoveFailure> {
-        if let Some(plan) = self.memo.lookup(array, mover, target) {
-            return Ok(plan);
+    ) -> Option<MovePlan> {
+        let epoch = array.positions_epoch();
+        if let Some(entry) = self.entries.get_mut(&(mover, target)) {
+            if entry.epoch == epoch || array.aod_config_matches(&entry.aod_snapshot) {
+                entry.epoch = epoch;
+                *if entry.plan.is_some() { &mut self.ok_hits } else { &mut self.err_hits } += 1;
+                return entry.plan.clone();
+            }
         }
         let _probe = parallax_trace::span!("cache.plan.probe");
+        if self.aod.as_ref().is_none_or(|c| c.epoch != epoch) {
+            let mut snapshot = Vec::new();
+            array.aod_snapshot(&mut snapshot);
+            let fingerprint = array.aod_fingerprint();
+            self.aod = Some(AodConfig { epoch, fingerprint, snapshot: snapshot.into() });
+        }
+        let aod = self.aod.as_ref().expect("set for this epoch above");
+        let aod_snapshot = Rc::clone(&aod.snapshot);
         let key = crate::layout_cache::PlanKey {
             layout: self.static_fp,
-            aod_config: self.aod_fp(array),
+            aod_config: aod.fingerprint,
             mover,
             target,
         };
-        if let Some(plan) = crate::layout_cache::lookup_plan(&key, array, r_um, max_recursion) {
+        let plan = if let Some(plan) =
+            crate::layout_cache::lookup_plan(&key, array, r_um, max_recursion)
+        {
             self.cross_hits += 1;
-            self.memo.record(array, mover, target, plan.clone());
-            return Ok(plan);
-        }
-        let plan = plan_move_into_range(array, mover, target, r_um, max_recursion)?;
-        self.memo.record(array, mover, target, plan.clone());
-        crate::layout_cache::record_plan(key, array, r_um, max_recursion, &plan);
-        Ok(plan)
+            Some(plan)
+        } else {
+            let plan = plan_move_into_range(array, mover, target, r_um, max_recursion).ok();
+            if let Some(plan) = &plan {
+                crate::layout_cache::record_plan(key, array, r_um, max_recursion, plan);
+            }
+            plan
+        };
+        self.entries.insert((mover, target), MemoEntry { epoch, aod_snapshot, plan: plan.clone() });
+        plan
     }
 }
 
 // ---------------------------------------------------------------------------
-// Layer scratch
+// The layer loop
 // ---------------------------------------------------------------------------
 
-/// Reusable per-compile scratch for the scheduling loop: every vector the
-/// naive implementation allocated per layer lives here and is cleared (not
-/// freed) between layers, and the per-layer `effective`-position map is an
-/// index-keyed stamped array instead of a `HashMap`.
-pub(crate) struct SchedulerScratch {
-    pub(crate) frontier: Frontier,
-    pub(crate) curr: Vec<usize>,
-    pub(crate) kept: Vec<usize>,
-    pub(crate) accepted: Vec<usize>,
-    pub(crate) trap_changed: Vec<(usize, u32)>,
-    pub(crate) advanced: Vec<u32>,
-    /// Effective operand positions keyed by gate index, valid when the
-    /// stamp matches the current layer.
-    pub(crate) eff_pos: Vec<[Point; 2]>,
-    pub(crate) eff_stamp: Vec<u64>,
-    pub(crate) blockade: BlockadeIndex,
-    pub(crate) memo: FailedMoveMemo,
-    pub(crate) plans: PlanCaches,
-    /// Per-compile home-return bookkeeping: each AOD atom's home is
-    /// recorded once, the first layer that ever moves it (under
-    /// home-return it is back at that exact position at every layer
-    /// boundary, so the record never goes stale), and `moved_stamp` marks
-    /// the layer that last displaced it. The return pass walks the
-    /// ever-moved list instead of rebuilding a per-layer home list per
-    /// mover — the batching that used to pay one `Vec` push per plan move
-    /// per layer.
-    pub(crate) home_pos: Vec<Point>,
-    pub(crate) moved_list: Vec<u32>,
-    pub(crate) moved_stamp: Vec<u64>,
-    pub(crate) return_moves: Vec<AodMove>,
-    /// Ever-moved atoms the return pass skipped because their position
-    /// epoch is unchanged since the layer that last moved them (they are
-    /// already home). Feeds [`CompileStats::home_return_skips`].
-    pub(crate) return_skips: usize,
-}
-
-impl SchedulerScratch {
-    pub(crate) fn new(
-        num_qubits: usize,
-        num_gates: usize,
-        array: &AtomArray,
-        blockade_um: f64,
-    ) -> Self {
-        let margin = array.grid().pitch_um();
-        Self {
-            frontier: Frontier::new(num_qubits),
-            curr: Vec::new(),
-            kept: Vec::new(),
-            accepted: Vec::new(),
-            trap_changed: Vec::new(),
-            advanced: Vec::new(),
-            eff_pos: vec![[Point::default(); 2]; num_gates],
-            eff_stamp: vec![0; num_gates],
-            blockade: BlockadeIndex::new(array.spec().extent_um(), margin, blockade_um),
-            memo: FailedMoveMemo::new(),
-            plans: PlanCaches::new(array),
-            home_pos: vec![Point::default(); num_qubits],
-            moved_list: Vec::new(),
-            moved_stamp: vec![0; num_qubits],
-            return_moves: Vec::new(),
-            return_skips: 0,
-        }
-    }
-}
-
-/// Record a committed move batch for the home-return pass: first-ever
-/// movers get their home (current, pre-commit position) recorded, and
-/// every mover is stamped with this layer's guard count. Call **before**
-/// applying the batch. Free function over split [`SchedulerScratch`]
-/// fields so it can run while the layer loop holds borrows of the other
-/// scratch vectors.
-pub(crate) fn record_moved_batch(
-    home_pos: &mut [Point],
-    moved_list: &mut Vec<u32>,
-    moved_stamp: &mut [u64],
-    array: &AtomArray,
-    moves: &[AodMove],
-    guard: u64,
-) {
-    for m in moves {
-        let q = m.q as usize;
-        if moved_stamp[q] == 0 {
-            home_pos[q] = array.position(m.q);
-            moved_list.push(m.q);
-        }
-        moved_stamp[q] = guard;
-    }
-}
-
-/// The batched home-return pass: emit one return move per atom moved this
-/// layer, skip (and count) every ever-moved atom whose position epoch is
-/// unchanged since the last layer — it is parked at home and needs no
-/// distance re-check. Returns the longest return displacement.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn return_home_batch(
-    home_pos: &[Point],
-    moved_list: &[u32],
-    moved_stamp: &[u64],
-    return_moves: &mut Vec<AodMove>,
-    return_skips: &mut usize,
-    array: &mut AtomArray,
-    guard: u64,
-) -> f64 {
-    return_moves.clear();
-    let mut max_distance_um = 0.0f64;
-    for &q in moved_list {
-        if moved_stamp[q as usize] != guard {
-            *return_skips += 1;
-            continue;
-        }
-        let home = home_pos[q as usize];
-        let distance = array.position(q).distance(&home);
-        // Same sub-nanometre filter as `plan_return_home`, so the emitted
-        // moves (and the serialized max distance) stay byte-identical to
-        // the per-layer oracle path.
-        if distance <= 1e-9 {
-            continue;
-        }
-        max_distance_um = max_distance_um.max(distance);
-        return_moves.push(AodMove { q, x: home.x, y: home.y });
-    }
-    if !return_moves.is_empty() {
-        array.apply_aod_moves(return_moves).expect("home configuration is always valid");
-    }
-    max_distance_um
+/// The per-layer movement rule of a [`SchedulingMode`] — the only place
+/// the modes differ. Everything else in [`schedule_gates`] is shared.
+enum LayerPolicy {
+    /// The paper's rule: the frontier as built, at most one move plan per
+    /// layer (later out-of-range AOD gates defer before any memo probe),
+    /// and a shuffled ejection order.
+    Single(StdRng),
+    /// The ablation: the frontier in ALAP-deadline order, every
+    /// corridor-disjoint plan commits, and ejection keeps deadline order.
+    MultiMover(Box<MultiMover>),
 }
 
 /// Run Algorithm 1. Mutates `layout.array` (atom motion and trap state).
 ///
-/// Dispatches on [`CompilerConfig::scheduling`]: the default
-/// [`SchedulingMode::Single`] path is the paper's one-move-per-layer rule,
-/// byte-identical to every pre-ablation build; the
-/// [`SchedulingMode::MultiMover`] path batches disjoint-corridor moves
-/// (see [`crate::multi_mover`]).
-///
-/// [`SchedulingMode::Single`]: crate::config::SchedulingMode::Single
-/// [`SchedulingMode::MultiMover`]: crate::config::SchedulingMode::MultiMover
+/// One layer loop serves both [`CompilerConfig::scheduling`] modes: the
+/// default [`SchedulingMode::Single`] is the paper's one-move-per-layer
+/// rule, byte-identical to every pre-ablation build; the
+/// [`SchedulingMode::MultiMover`] ablation batches disjoint-corridor moves
+/// (see [`crate::multi_mover`]). A private `LayerPolicy` carries the three
+/// differences: frontier order, mover budget and ejection order.
 pub fn schedule_gates(
     circuit: &Circuit,
     layout: &mut DiscretizedLayout,
-    selection: &AodSelection,
-    config: &CompilerConfig,
-) -> Schedule {
-    match config.scheduling {
-        crate::config::SchedulingMode::Single => schedule_gates_single(circuit, layout, config),
-        crate::config::SchedulingMode::MultiMover => {
-            crate::multi_mover::schedule_gates_multi(circuit, layout, selection, config)
-        }
-    }
-}
-
-/// The default one-move-per-layer scheduling loop (paper Algorithm 1).
-fn schedule_gates_single(
-    circuit: &Circuit,
-    layout: &mut DiscretizedLayout,
+    _selection: &AodSelection,
     config: &CompilerConfig,
 ) -> Schedule {
     let gates = circuit.gates();
     let num_gates = gates.len();
+    let num_qubits = circuit.num_qubits();
     let qubit_gates = circuit.qubit_gates_csr();
-    let mut ptr = vec![0usize; circuit.num_qubits()];
-    let mut executed = vec![false; num_gates];
+    let mut ptr = vec![0usize; num_qubits];
     let mut executed_count = 0usize;
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5eed);
     let r = layout.interaction_radius_um;
     let blockade_factor = layout.array.spec().blockade_factor;
+    let max_recursion = config.max_move_recursion;
 
     let mut layers = Vec::new();
     let mut stats = CompileStats {
@@ -782,41 +581,72 @@ fn schedule_gates_single(
         u3_count: circuit.u3_count(),
         ..Default::default()
     };
+    let mut policy = match config.scheduling {
+        SchedulingMode::Single => LayerPolicy::Single(StdRng::seed_from_u64(
+            config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5eed,
+        )),
+        SchedulingMode::MultiMover => {
+            stats.multi_mover.enabled = true;
+            LayerPolicy::MultiMover(Box::new(MultiMover::new(circuit, layout)))
+        }
+    };
 
-    let mut scratch =
-        SchedulerScratch::new(circuit.num_qubits(), num_gates, &layout.array, r * blockade_factor);
-    scratch.frontier.seed(gates, &qubit_gates, &ptr);
+    // Per-compile scratch, cleared (not freed) between layers, so the loop
+    // allocates nothing beyond the `ScheduledLayer` outputs themselves.
+    let mut frontier = Frontier::new(num_qubits);
+    frontier.seed(gates, &qubit_gates, &ptr);
+    let mut curr = Vec::new();
+    let mut kept = Vec::new();
+    let mut accepted = Vec::new();
+    // Gates that executed via trap change: (gate, virtually moved qubit).
+    let mut trap_changed: Vec<(usize, u32)> = Vec::new();
+    let mut advanced = Vec::new();
+    // Effective operand positions keyed by gate index, valid when the
+    // stamp matches the current layer (an index-keyed `HashMap` stand-in).
+    let mut eff_pos = vec![[Point::default(); 2]; num_gates];
+    let mut eff_stamp = vec![0u64; num_gates];
+    let mut blockade = BlockadeIndex::new(
+        layout.array.spec().extent_um(),
+        layout.array.grid().pitch_um(),
+        r * blockade_factor,
+    );
+    let mut memo = MoveMemo::new(&layout.array);
+    // Home-return bookkeeping: each AOD atom's home is recorded once, the
+    // first layer that ever moves it (under home-return it is back at that
+    // exact position at every layer boundary, so the record never goes
+    // stale), and `moved_stamp` marks the layer that last displaced it.
+    // The return pass walks the ever-moved list instead of rebuilding a
+    // per-layer home list.
+    let mut home_pos = vec![Point::default(); num_qubits];
+    let mut moved_list: Vec<u32> = Vec::new();
+    let mut moved_stamp = vec![0u64; num_qubits];
+    let mut return_moves = Vec::new();
 
     let mut guard = 0usize;
     let cap = iteration_cap(num_gates);
     while executed_count < num_gates {
         guard += 1;
         assert!(guard <= cap, "scheduler livelock: {executed_count}/{num_gates} gates executed");
+        let stamp = guard as u64;
 
         // ---- Lines 7-11: build the dependency frontier layer. ----
-        let t_frontier = profile::begin();
-        let sp_frontier = parallax_trace::span!("schedule.frontier");
-        let curr = &mut scratch.curr;
-        scratch.frontier.collect(&qubit_gates, &ptr, curr);
-        drop(sp_frontier);
-        profile::record(Stage::ScheduleFrontier, t_frontier, 0);
+        let t = profile::stage(Stage::ScheduleFrontier);
+        frontier.collect(&qubit_gates, &ptr, &mut curr);
+        drop(t);
         assert!(!curr.is_empty(), "dependency frontier is empty before completion");
+        if let LayerPolicy::MultiMover(mm) = &mut policy {
+            mm.begin_layer(&mut curr, gates, &layout.array);
+        }
 
         // ---- Lines 12-19: movement resolution for out-of-range CZs. ----
-        let t_movement = profile::begin();
-        let sp_movement = parallax_trace::span!("schedule.movement");
-        let mut moved_this_layer = false;
-        let mut committed_moves: Vec<AodMove> = Vec::new();
+        let t = profile::stage(Stage::ScheduleMovement);
+        let mut moves: Vec<AodMove> = Vec::new();
+        let mut mover_plans: Vec<u32> = Vec::new();
         let mut move_distance_um = 0.0f64;
         let mut trap_changes = 0usize;
-        // Gates that executed via trap change: (gate, virtually moved qubit).
-        let trap_changed = &mut scratch.trap_changed;
         trap_changed.clear();
-        let kept = &mut scratch.kept;
         kept.clear();
-        let mut deferred = 0usize;
-
-        for &g in curr.iter() {
+        for &g in &curr {
             let Gate::Cz { a, b } = gates[g] else {
                 kept.push(g);
                 continue;
@@ -825,100 +655,71 @@ fn schedule_gates_single(
                 kept.push(g);
                 continue;
             }
-            let aod_operand = if layout.array.is_aod(a) {
-                Some(a)
+            let mover = if layout.array.is_aod(a) {
+                a
             } else if layout.array.is_aod(b) {
-                Some(b)
+                b
             } else {
-                None
+                // Lines 18-19: neither operand is mobile — release and
+                // retrap one of them (the ~1.3% case).
+                trap_changes += 1;
+                trap_changed.push((g, a));
+                kept.push(g);
+                continue;
             };
-            match aod_operand {
-                Some(mover) if !moved_this_layer => {
-                    let target = if mover == a { b } else { a };
-                    if scratch.memo.still_failed(&layout.array, mover, target) {
-                        // The probe cascade failed against this exact AOD
-                        // configuration before; the planner is pure, so it
-                        // would fail identically — resolve with a trap
-                        // change straight away.
-                        stats.failed_moves += 1;
-                        trap_changes += 1;
-                        trap_changed.push((g, mover));
-                        kept.push(g);
-                        continue;
-                    }
-                    // Both cache levels sit in front of the probe cascade;
-                    // every reuse is exact-configuration verified, so the
-                    // plan is the one a fresh cascade would produce.
-                    let mut attempt = scratch.plans.plan(
-                        &layout.array,
-                        mover,
-                        target,
-                        r,
-                        config.max_move_recursion,
-                    );
-                    // With both operands mobile, either may be the mover;
-                    // retry in the other direction before giving up.
-                    if attempt.is_err() && layout.array.is_aod(target) {
-                        attempt = scratch.plans.plan(
-                            &layout.array,
-                            target,
-                            mover,
-                            r,
-                            config.max_move_recursion,
-                        );
-                    }
-                    match attempt {
-                        Ok(plan) => {
-                            record_moved_batch(
-                                &mut scratch.home_pos,
-                                &mut scratch.moved_list,
-                                &mut scratch.moved_stamp,
-                                &layout.array,
-                                &plan.moves,
-                                guard as u64,
-                            );
-                            layout
-                                .array
-                                .apply_aod_moves(&plan.moves)
-                                .expect("validated plan must commit");
-                            committed_moves = plan.moves;
-                            move_distance_um = plan.max_distance_um;
-                            moved_this_layer = true;
-                            stats.moves_planned += 1;
-                            stats.total_move_distance_um += plan.max_distance_um;
-                            kept.push(g);
-                        }
-                        Err(_) => {
-                            // Failed move: resolve with a trap change
-                            // (Section III: "Failed moves are resolved using
-                            // trap changes").
-                            scratch.memo.record(&layout.array, mover, target);
-                            stats.failed_moves += 1;
-                            trap_changes += 1;
-                            trap_changed.push((g, mover));
-                            kept.push(g);
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Line 16-17: one move per layer; defer this gate.
-                    deferred += 1;
-                    continue;
-                }
-                None => {
-                    // Lines 18-19: neither operand is mobile — release and
-                    // retrap one of them (the ~1.3% case).
-                    trap_changes += 1;
-                    trap_changed.push((g, a));
-                    kept.push(g);
-                }
+            if matches!(policy, LayerPolicy::Single(_)) && !mover_plans.is_empty() {
+                // Lines 16-17: one move per layer; defer this gate.
+                stats.deferred_gates += 1;
+                continue;
             }
+            let target = if mover == a { b } else { a };
+            // With both operands mobile, either may be the mover; retry in
+            // the other direction before giving up.
+            let reversible = layout.array.is_aod(target);
+            let mut plan = memo.plan(&layout.array, mover, target, r, max_recursion);
+            if plan.is_none() && reversible {
+                plan = memo.plan(&layout.array, target, mover, r, max_recursion);
+            }
+            let Some(mut plan) = plan else {
+                // Failed move: resolve with a trap change (Section III:
+                // "Failed moves are resolved using trap changes").
+                stats.failed_moves += 1;
+                trap_changes += 1;
+                trap_changed.push((g, mover));
+                kept.push(g);
+                continue;
+            };
+            if let LayerPolicy::MultiMover(mm) = &mut policy {
+                let reverse = || {
+                    reversible.then(|| memo.plan(&layout.array, target, mover, r, max_recursion))?
+                };
+                let Some(admitted) = mm.admit(&layout.array, plan, a, b, reverse) else {
+                    stats.multi_mover.conflict_rejections += 1;
+                    stats.deferred_gates += 1;
+                    continue;
+                };
+                plan = admitted;
+            }
+            for m in &plan.moves {
+                let q = m.q as usize;
+                if moved_stamp[q] == 0 {
+                    home_pos[q] = layout.array.position(m.q);
+                    moved_list.push(m.q);
+                }
+                moved_stamp[q] = stamp;
+            }
+            layout.array.apply_aod_moves(&plan.moves).expect("validated plan must commit");
+            mover_plans.push(plan.moves.len() as u32);
+            moves.extend_from_slice(&plan.moves);
+            move_distance_um = move_distance_um.max(plan.max_distance_um);
+            stats.moves_planned += 1;
+            stats.total_move_distance_um += plan.max_distance_um;
+            kept.push(g);
         }
-        stats.deferred_gates += deferred;
 
-        // The committed move may have displaced atoms of *other* kept CZ
+        // The committed moves may have displaced atoms of *other* kept CZ
         // gates out of range; those defer too (they cannot move again).
-        if moved_this_layer {
+        if !mover_plans.is_empty() {
             kept.retain(|&g| match gates[g] {
                 Gate::Cz { a, b } => {
                     let in_range = layout.array.distance(a, b) <= r + 1e-9
@@ -933,19 +734,20 @@ fn schedule_gates_single(
         }
 
         // ---- Line 20: shuffle to avoid starving any one qubit. ----
-        kept.shuffle(&mut rng);
-        drop(sp_movement);
-        profile::record(Stage::ScheduleMovement, t_movement, 0);
+        // The multi-mover keeps `kept` in deadline order instead: the first
+        // gate lands in an empty blockade index and can never be ejected,
+        // so every layer still makes progress on the most critical chain.
+        if let LayerPolicy::Single(rng) = &mut policy {
+            kept.shuffle(rng);
+        }
+        drop(t);
 
         // ---- Lines 21-22: Rydberg blockade interference ejection. ----
         // A trap-changed atom spends the gate adjacent to its partner, so
-        // its effective position is its partner's side. Precompute the
-        // effective operand positions of every kept CZ gate (stamped
-        // index-keyed scratch; the stamp is this layer's guard count).
-        let t_blockade = profile::begin();
-        let blockade_allocs_before = scratch.blockade.allocs;
-        let sp_blockade = parallax_trace::span!("schedule.blockade");
-        for &g in kept.iter() {
+        // its effective position is its partner's side.
+        let mut t = profile::stage(Stage::ScheduleBlockade);
+        let allocs_before = blockade.allocs;
+        for &g in &kept {
             if let Gate::Cz { a, b } = gates[g] {
                 let mut pa = layout.array.position(a);
                 let mut pb = layout.array.position(b);
@@ -956,24 +758,21 @@ fn schedule_gates_single(
                         pb = pa;
                     }
                 }
-                scratch.eff_pos[g] = [pa, pb];
-                scratch.eff_stamp[g] = guard as u64;
+                eff_pos[g] = [pa, pb];
+                eff_stamp[g] = stamp;
             }
         }
-        let accepted = &mut scratch.accepted;
         accepted.clear();
-        scratch.blockade.clear();
-        for &g in kept.iter() {
+        blockade.clear();
+        for &g in &kept {
             match gates[g] {
                 Gate::U3 { .. } => accepted.push(g),
                 Gate::Cz { .. } => {
-                    debug_assert_eq!(scratch.eff_stamp[g], guard as u64);
-                    let mine = scratch.eff_pos[g];
-                    let conflict =
-                        mine.iter().any(|p| scratch.blockade.conflicts(*p, r, blockade_factor));
-                    if conflict {
+                    debug_assert_eq!(eff_stamp[g], stamp);
+                    let mine = eff_pos[g];
+                    if mine.iter().any(|p| blockade.conflicts(*p, r, blockade_factor)) {
                         stats.blockade_ejections += 1;
-                        // If this was the trap-changed gate, the trap change
+                        // If this was a trap-changed gate, the trap change
                         // did not happen after all.
                         if let Some(pos) = trap_changed.iter().position(|&(tg, _)| tg == g) {
                             trap_changed.remove(pos);
@@ -981,30 +780,25 @@ fn schedule_gates_single(
                         }
                     } else {
                         accepted.push(g);
-                        scratch.blockade.insert(mine[0]);
-                        scratch.blockade.insert(mine[1]);
+                        blockade.insert(mine[0]);
+                        blockade.insert(mine[1]);
                     }
                 }
             }
         }
-        drop(sp_blockade);
-        profile::record(
-            Stage::ScheduleBlockade,
-            t_blockade,
-            (scratch.blockade.allocs - blockade_allocs_before) as u64,
-        );
+        t.set_allocs((blockade.allocs - allocs_before) as u64);
+        drop(t);
         assert!(
             !accepted.is_empty(),
-            "blockade pass emptied a layer: curr={curr:?} kept={kept:?} moved={moved_this_layer} trap_changed={trap_changed:?}"
+            "blockade pass emptied a layer: curr={curr:?} kept={kept:?} movers={} trap_changed={trap_changed:?}",
+            mover_plans.len()
         );
 
         // ---- Line 23: execute. ----
         let mut has_u3 = false;
         let mut has_cz = false;
-        let advanced = &mut scratch.advanced;
         advanced.clear();
-        for &g in accepted.iter() {
-            executed[g] = true;
+        for &g in &accepted {
             executed_count += 1;
             match gates[g] {
                 Gate::U3 { q, .. } => {
@@ -1021,37 +815,54 @@ fn schedule_gates_single(
                 }
             }
         }
-        let t_frontier = profile::begin();
-        let sp_frontier = parallax_trace::span!("schedule.frontier");
-        scratch.frontier.advance(advanced, gates, &qubit_gates, &ptr);
-        drop(sp_frontier);
-        profile::record(Stage::ScheduleFrontier, t_frontier, 0);
+        let t = profile::stage(Stage::ScheduleFrontier);
+        frontier.advance(&advanced, gates, &qubit_gates, &ptr);
+        drop(t);
 
         // ---- Line 24: return moved atoms home. ----
-        let t_return = profile::begin();
-        let sp_return = parallax_trace::span!("schedule.return");
-        let mut return_distance_um = 0.0;
+        // One return move per atom moved this layer; every ever-moved atom
+        // whose stamp is older is parked at home already and is skipped
+        // (and counted) without a distance re-check.
+        let t = profile::stage(Stage::ScheduleReturn);
+        let mut return_distance_um = 0.0f64;
         if config.return_home {
-            return_distance_um = return_home_batch(
-                &scratch.home_pos,
-                &scratch.moved_list,
-                &scratch.moved_stamp,
-                &mut scratch.return_moves,
-                &mut scratch.return_skips,
-                &mut layout.array,
-                guard as u64,
-            );
+            return_moves.clear();
+            for &q in &moved_list {
+                if moved_stamp[q as usize] != stamp {
+                    stats.home_return_skips += 1;
+                    continue;
+                }
+                let home = home_pos[q as usize];
+                let distance = layout.array.position(q).distance(&home);
+                // Same sub-nanometre filter as `plan_return_home`, so the
+                // emitted moves (and the serialized max distance) stay
+                // byte-identical to the per-layer oracle path.
+                if distance <= 1e-9 {
+                    continue;
+                }
+                return_distance_um = return_distance_um.max(distance);
+                return_moves.push(AodMove { q, x: home.x, y: home.y });
+            }
+            if !return_moves.is_empty() {
+                layout
+                    .array
+                    .apply_aod_moves(&return_moves)
+                    .expect("home configuration is always valid");
+            }
         }
-        drop(sp_return);
-        profile::record(Stage::ScheduleReturn, t_return, 0);
+        drop(t);
 
         stats.layer_count += 1;
         stats.trap_changes += trap_changes;
-        let mover_plans =
-            if moved_this_layer { vec![committed_moves.len() as u32] } else { Vec::new() };
+        if let LayerPolicy::MultiMover(_) = policy {
+            if let Some(extra) = mover_plans.len().checked_sub(1) {
+                stats.multi_mover.movers_per_layer[extra.min(7)] += 1;
+                stats.multi_mover.layers_saved += extra;
+            }
+        }
         layers.push(ScheduledLayer {
             gate_indices: accepted.clone(),
-            moves: committed_moves,
+            moves,
             mover_plans,
             move_distance_um,
             return_distance_um,
@@ -1060,11 +871,10 @@ fn schedule_gates_single(
             has_cz,
         });
     }
-    stats.failed_move_memo_hits = scratch.memo.hits;
-    stats.plan_cache_hits = scratch.plans.memo.hits;
-    stats.plan_cache_cross_hits = scratch.plans.cross_hits;
-    stats.bucket_scratch_allocs = scratch.blockade.allocs;
-    stats.home_return_skips = scratch.return_skips;
+    stats.failed_move_memo_hits = memo.err_hits;
+    stats.plan_cache_hits = memo.ok_hits;
+    stats.plan_cache_cross_hits = memo.cross_hits;
+    stats.bucket_scratch_allocs = blockade.allocs;
     stats.publish_metrics();
 
     let schedule = Schedule { layers, stats };
@@ -1598,7 +1408,7 @@ mod tests {
         );
     }
 
-    // -- Failed-move memoization unit tests --
+    // -- Move memo unit tests --
 
     fn memo_array() -> AtomArray {
         // Same shape as movement.rs's zero-budget test: q0 is the mover,
@@ -1612,51 +1422,6 @@ mod tests {
         a
     }
 
-    #[test]
-    fn memo_hits_while_nothing_moved_and_goes_stale_when_blocker_moves() {
-        let mut a = memo_array();
-        let r = 7.5;
-        // With zero recursion budget the blocked approach cannot resolve.
-        assert!(plan_move_into_range(&a, 0, 1, r, 0).is_err());
-        let mut memo = FailedMoveMemo::new();
-        memo.record(&a, 0, 1);
-        assert!(memo.still_failed(&a, 0, 1), "identical state must hit");
-        assert_eq!(memo.hits, 1);
-
-        // The blocker moves well clear of the target (its column stays
-        // right of any approach endpoint): the memo entry must go stale,
-        // and the re-probe now succeeds — the gate became plannable.
-        a.apply_aod_moves(&[AodMove { q: 2, x: 98.0, y: 70.0 }]).unwrap();
-        assert!(!memo.still_failed(&a, 0, 1), "stale entry must force a re-probe");
-        assert!(plan_move_into_range(&a, 0, 1, r, 0).is_ok());
-    }
-
-    #[test]
-    fn memo_rearms_epoch_when_configuration_returns() {
-        let mut a = memo_array();
-        let mut memo = FailedMoveMemo::new();
-        memo.record(&a, 0, 1);
-        // Move the blocker away and back: the epoch moved on, but the
-        // exact-position comparison recognises the configuration.
-        let home = a.position(2);
-        a.apply_aod_moves(&[AodMove { q: 2, x: 77.0, y: 70.0 }]).unwrap();
-        a.apply_aod_moves(&[AodMove { q: 2, x: home.x, y: home.y }]).unwrap();
-        assert!(memo.still_failed(&a, 0, 1), "returned configuration must hit");
-        // The second query takes the re-armed epoch fast path.
-        assert!(memo.still_failed(&a, 0, 1));
-        assert_eq!(memo.hits, 2);
-    }
-
-    #[test]
-    fn memo_misses_for_unknown_pair() {
-        let a = memo_array();
-        let mut memo = FailedMoveMemo::new();
-        assert!(!memo.still_failed(&a, 0, 1));
-        assert_eq!(memo.hits, 0);
-    }
-
-    // -- Successful-plan caching unit tests --
-
     /// An array where the q0 -> q1 move plans successfully.
     fn plannable_array() -> AtomArray {
         let mut a = AtomArray::new(MachineSpec::quera_aquila_256(), 2);
@@ -1667,57 +1432,159 @@ mod tests {
     }
 
     #[test]
-    fn plan_memo_reuses_only_the_exact_configuration() {
-        let mut a = plannable_array();
-        let plan = plan_move_into_range(&a, 0, 1, 7.0, 80).unwrap();
-        let mut memo = PlanMemo::new();
-        memo.record(&a, 0, 1, plan.clone());
+    fn memo_reuses_a_failure_until_the_blocker_moves() {
+        let mut a = memo_array();
+        let r = 7.5;
+        let mut memo = MoveMemo::new(&a);
+        // With zero recursion budget the blocked approach cannot resolve.
+        assert!(memo.plan(&a, 0, 1, r, 0).is_none());
+        assert_eq!(memo.err_hits, 0, "the first query runs the cascade");
+        assert!(memo.plan(&a, 0, 1, r, 0).is_none());
+        assert_eq!(memo.err_hits, 1, "identical state must hit");
 
-        // Identical state: epoch fast path.
-        let hit = memo.lookup(&a, 0, 1).expect("identical state must hit");
-        assert_eq!(hit.moves, plan.moves);
-        assert_eq!(memo.hits, 1);
-
-        // Commit the plan: the configuration changed, the memo must not
-        // serve the stale plan.
-        let home = a.position(0);
-        a.apply_aod_moves(&plan.moves).unwrap();
-        assert!(memo.lookup(&a, 0, 1).is_none(), "moved state must miss");
-
-        // Home return restores the recorded configuration: exact-snapshot
-        // fallback hits and re-arms the epoch for the next query.
-        a.apply_aod_moves(&[AodMove { q: 0, x: home.x, y: home.y }]).unwrap();
-        let back = memo.lookup(&a, 0, 1).expect("returned configuration must hit");
-        assert_eq!(back.moves, plan.moves);
-        assert!(memo.lookup(&a, 0, 1).is_some(), "re-armed epoch fast path");
-        assert_eq!(memo.hits, 3);
+        // The blocker moves well clear of the target (its column stays
+        // right of any approach endpoint): the entry must go stale, and the
+        // re-probe now succeeds — the gate became plannable.
+        a.apply_aod_moves(&[AodMove { q: 2, x: 98.0, y: 70.0 }]).unwrap();
+        let plan = memo.plan(&a, 0, 1, r, 0).expect("stale failure must re-probe");
+        assert_eq!(memo.err_hits, 1);
+        assert_eq!(plan.moves, plan_move_into_range(&a, 0, 1, r, 0).unwrap().moves);
     }
 
     #[test]
-    fn plan_caches_serve_bit_identical_plans_end_to_end() {
-        // The two-level wrapper must hand back exactly what the planner
-        // would produce, from either level.
+    fn memo_reuses_a_plan_only_on_the_exact_configuration() {
+        let mut a = plannable_array();
+        let plan = plan_move_into_range(&a, 0, 1, 7.0, 80).unwrap();
+        let mut memo = MoveMemo::new(&a);
+        assert_eq!(memo.plan(&a, 0, 1, 7.0, 80).unwrap().moves, plan.moves);
+        assert_eq!(memo.ok_hits, 0, "the first query is a memo miss");
+
+        // Identical state: epoch fast path.
+        let hit = memo.plan(&a, 0, 1, 7.0, 80).expect("identical state must hit");
+        assert_eq!(hit.moves, plan.moves);
+        assert_eq!(memo.ok_hits, 1);
+
+        // Commit the plan: the configuration changed, the memo must not
+        // serve the stale plan.
+        a.apply_aod_moves(&plan.moves).unwrap();
+        let moved = memo.plan(&a, 0, 1, 7.0, 80);
+        assert_eq!(memo.ok_hits, 1, "moved state must miss");
+        assert_eq!(
+            moved.map(|p| p.moves),
+            plan_move_into_range(&a, 0, 1, 7.0, 80).ok().map(|p| p.moves)
+        );
+    }
+
+    #[test]
+    fn memo_rearms_the_epoch_when_the_configuration_returns() {
+        // Err entry: move the blocker away and back without querying in
+        // between. The epoch moved on, but the exact-position comparison
+        // recognises the configuration; the next query takes the re-armed
+        // epoch fast path.
+        let mut a = memo_array();
+        let mut memo = MoveMemo::new(&a);
+        assert!(memo.plan(&a, 0, 1, 7.5, 0).is_none());
+        let home = a.position(2);
+        a.apply_aod_moves(&[AodMove { q: 2, x: 77.0, y: 70.0 }]).unwrap();
+        a.apply_aod_moves(&[AodMove { q: 2, x: home.x, y: home.y }]).unwrap();
+        assert!(memo.plan(&a, 0, 1, 7.5, 0).is_none(), "returned configuration must hit");
+        assert!(memo.plan(&a, 0, 1, 7.5, 0).is_none());
+        assert_eq!((memo.err_hits, memo.ok_hits), (2, 0));
+
+        // Ok entry: the home-return steady state, mover out and back.
+        let mut a = plannable_array();
+        let mut memo = MoveMemo::new(&a);
+        let plan = memo.plan(&a, 0, 1, 7.0, 80).unwrap();
+        let home = a.position(0);
+        a.apply_aod_moves(&plan.moves).unwrap();
+        a.apply_aod_moves(&[AodMove { q: 0, x: home.x, y: home.y }]).unwrap();
+        let back = memo.plan(&a, 0, 1, 7.0, 80).expect("returned configuration must hit");
+        assert_eq!(back.moves, plan.moves);
+        assert!(memo.plan(&a, 0, 1, 7.0, 80).is_some(), "re-armed epoch fast path");
+        assert_eq!((memo.err_hits, memo.ok_hits), (0, 2));
+    }
+
+    #[test]
+    fn memo_misses_for_an_unknown_pair() {
+        // A recorded failure answers only its own (mover, target) key.
+        let a = memo_array();
+        let mut memo = MoveMemo::new(&a);
+        assert!(memo.plan(&a, 0, 1, 7.5, 0).is_none());
+        let _ = memo.plan(&a, 2, 1, 7.5, 0);
+        assert_eq!((memo.err_hits, memo.ok_hits), (0, 0));
+
+        // A recorded success likewise, even for its reversed pair.
+        let a = plannable_array();
+        let mut memo = MoveMemo::new(&a);
+        assert!(memo.plan(&a, 0, 1, 7.0, 80).is_some());
+        assert!(memo.plan(&a, 1, 0, 7.0, 80).is_none(), "q1 is not in the AOD");
+        assert_eq!((memo.err_hits, memo.ok_hits), (0, 0));
+    }
+
+    #[test]
+    fn memo_serves_bit_identical_plans_from_every_level() {
+        // The memo and the cross-compile layer behind it must hand back
+        // exactly what the planner would produce.
         let a = plannable_array();
         let direct = plan_move_into_range(&a, 0, 1, 7.0, 80).unwrap();
-        let mut caches = PlanCaches::new(&a);
-        let cold = caches.plan(&a, 0, 1, 7.0, 80).unwrap();
+        let mut memo = MoveMemo::new(&a);
+        let cold = memo.plan(&a, 0, 1, 7.0, 80).unwrap();
         assert_eq!(cold.moves, direct.moves);
-        let warm = caches.plan(&a, 0, 1, 7.0, 80).unwrap();
+        let warm = memo.plan(&a, 0, 1, 7.0, 80).unwrap();
         assert_eq!(warm.moves, direct.moves);
         assert_eq!(warm.max_distance_um.to_bits(), direct.max_distance_um.to_bits());
-        assert_eq!(caches.memo.hits, 1, "second query answers from the per-compile memo");
+        assert_eq!(memo.ok_hits, 1, "second query answers from the per-compile memo");
 
-        // A fresh compile's caches (new memo, same process): the global
-        // layer answers with the identical plan.
-        let mut fresh = PlanCaches::new(&a);
+        // A fresh compile's memo (same process): the global layer answers
+        // with the identical plan.
+        let mut fresh = MoveMemo::new(&a);
         let cross = fresh.plan(&a, 0, 1, 7.0, 80).unwrap();
         assert_eq!(cross.moves, direct.moves);
         assert_eq!(fresh.cross_hits, 1, "fresh compile must hit the cross-compile layer");
+    }
 
-        // Different knobs bypass both levels (and re-plan).
-        let other = fresh.plan(&a, 0, 1, 7.5, 80).unwrap();
-        assert_eq!(fresh.cross_hits, 1);
-        assert_eq!(other.moves, plan_move_into_range(&a, 0, 1, 7.5, 80).unwrap().moves);
+    /// A scene captured from a SECA compile on QuEra-256: gate (q8, q6)
+    /// with both operands in the AOD, where q8 cannot be brought to q6 but
+    /// q6 can be brought to q8.
+    fn reverse_only_array() -> (AtomArray, f64) {
+        let mut a = AtomArray::new(MachineSpec::quera_aquila_256(), 11);
+        let slm = [(1, (4, 2)), (2, (6, 0)), (5, (6, 7)), (7, (4, 6)), (9, (2, 0)), (10, (0, 5))];
+        for (q, site) in slm {
+            a.place_in_slm(q, site);
+        }
+        let aod = [
+            (0, (4, 4), 2, 2, 28.0, 28.0),
+            (3, (2, 3), 1, 1, 14.0, 21.0),
+            (4, (7, 2), 0, 3, 49.0, 14.0),
+            (6, (7, 5), 3, 4, 52.0, 35.0),
+            (8, (1, 7), 4, 0, 7.0, 49.0),
+        ];
+        for (q, site, row, col, x, y) in aod {
+            a.place_in_slm(q, site);
+            a.transfer_to_aod_at(q, row, col, x, y).unwrap();
+        }
+        (a, 14.0 * 2f64.sqrt())
+    }
+
+    #[test]
+    fn forward_fail_reverse_success_is_answered_by_the_memo_both_ways() {
+        let (a, r) = reverse_only_array();
+        assert!(a.is_aod(6) && a.is_aod(8) && a.distance(8, 6) > r);
+        assert!(plan_move_into_range(&a, 8, 6, r, 80).is_err(), "forward must fail");
+        let reverse = plan_move_into_range(&a, 6, 8, r, 80).expect("reverse must plan");
+
+        // The scheduler's query pair, twice against the same configuration.
+        let mut memo = MoveMemo::new(&a);
+        let query =
+            |memo: &mut MoveMemo| memo.plan(&a, 8, 6, r, 80).or_else(|| memo.plan(&a, 6, 8, r, 80));
+        assert_eq!(query(&mut memo).unwrap().moves, reverse.moves);
+        assert_eq!((memo.err_hits, memo.ok_hits), (0, 0));
+        let cross_before = memo.cross_hits;
+        // The second query never reaches the cache or the cascade: the
+        // forward failure and the reverse plan are both memo hits.
+        assert_eq!(query(&mut memo).unwrap().moves, reverse.moves);
+        assert_eq!((memo.err_hits, memo.ok_hits), (1, 1));
+        assert_eq!(memo.cross_hits, cross_before);
     }
 
     #[test]

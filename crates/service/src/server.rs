@@ -897,8 +897,17 @@ mod tests {
         assert!(text.contains("parallax_service_latency_us_bucket"), "{text}");
     }
 
+    /// The trace enable flag is process-global: tests that flip it must not
+    /// interleave, or one test's `set_enabled(false)` lands mid-compile in
+    /// the other and its spans never record.
+    fn trace_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn trace_op_returns_span_trees_when_enabled() {
+        let _flag = trace_flag_lock();
         let server = test_server(1, 4, 1 << 20);
         let core = &server.core;
         parallax_trace::set_enabled(true);
@@ -927,6 +936,7 @@ mod tests {
 
     #[test]
     fn trace_op_annotates_client_tagged_requests() {
+        let _flag = trace_flag_lock();
         let server = test_server(1, 4, 1 << 20);
         let core = &server.core;
         parallax_trace::set_enabled(true);

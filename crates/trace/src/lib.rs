@@ -28,6 +28,6 @@ pub use registry::{
     Collector, Counter, Gauge, Histogram, Sample, SampleKind,
 };
 pub use ring::{
-    current_trace_id, dropped_events, enabled, intern, next_trace_id, recent_traces, set_enabled,
-    snapshot_events, trace_id_scope, Span, TraceEvent, TraceIdScope, TraceTree,
+    current_trace_id, dropped_events, enabled, intern, next_trace_id, now_ns, recent_traces,
+    set_enabled, snapshot_events, trace_id_scope, Span, TraceEvent, TraceIdScope, TraceTree,
 };

@@ -66,7 +66,8 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_ns() -> u64 {
+/// Nanoseconds since the process trace epoch: the clock every span reads.
+pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
@@ -335,13 +336,20 @@ impl Span {
         });
         Span { start_ns: now_ns(), name_idx, depth, active: true }
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
+    /// Whether the span is recording (tracing was on when it opened).
+    pub fn is_active(&self) -> bool {
+        self.active
+    }
+
+    /// Record the span now and return the duration written to the ring, in
+    /// ns; `None` for an inert or already-closed span. Dropping a span
+    /// closes it, so callers that need the duration close it explicitly.
+    pub fn close(&mut self) -> Option<u64> {
         if !self.active {
-            return;
+            return None;
         }
+        self.active = false;
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         let dur = now_ns().saturating_sub(self.start_ns);
         record_event(
@@ -352,6 +360,13 @@ impl Drop for Span {
             dur,
             current_trace_id(),
         );
+        Some(dur)
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -376,8 +391,16 @@ macro_rules! span {
 mod tests {
     use super::*;
 
+    /// The enable flag and the ring are process-global: tests that flip the
+    /// flag or count ring events must not interleave.
+    fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn spans_record_nesting_and_trace_ids() {
+        let _flag = flag_lock();
         set_enabled(true);
         let id = next_trace_id();
         {
@@ -398,6 +421,24 @@ mod tests {
     }
 
     #[test]
+    fn close_returns_the_recorded_duration_once() {
+        let _flag = flag_lock();
+        set_enabled(true);
+        let id = next_trace_id();
+        let dur = {
+            let _scope = trace_id_scope(id);
+            let mut s = crate::span!("ringtest.close");
+            let dur = s.close().expect("an active span reports its duration");
+            assert!(s.close().is_none(), "a closed span records nothing more");
+            dur
+        };
+        set_enabled(false);
+        let events: Vec<_> = snapshot_events().into_iter().filter(|e| e.trace_id == id).collect();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].dur_ns, dur);
+    }
+
+    #[test]
     fn trace_id_scope_restores_previous() {
         let before = current_trace_id();
         {
@@ -414,6 +455,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _flag = flag_lock();
         set_enabled(false);
         let before = snapshot_events().len();
         {

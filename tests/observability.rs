@@ -23,6 +23,10 @@ use std::sync::Mutex;
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+    // Profiling latches on its first read. Every test here takes this lock
+    // before compiling, so forcing it on here runs the stage counters beside
+    // the spans for the whole binary (output-neutral like the spans).
+    parallax_core::profile::force_enable();
     TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -132,4 +136,50 @@ fn recent_traces_group_spans_by_request() {
         .expect("the tagged compile's trace tree is retrievable");
     assert!(tree.events.iter().any(|e| e.name == "compile"));
     assert!(tree.events.iter().all(|e| e.trace_id == id_a));
+}
+
+/// One timer per interval: with tracing and profiling both on, each
+/// stage's `parallax_stage_*` counters move by exactly what the ring
+/// recorded for that stage's span — one call per span, and the summed span
+/// durations to the nanosecond.
+#[test]
+fn stage_counters_are_a_view_over_the_span_clock() {
+    let _lock = trace_lock();
+    assert!(parallax_core::profile::enabled(), "profiling must latch on before any compile");
+    let stages = [
+        ("placement", "stage.placement"),
+        ("discretize", "stage.discretize"),
+        ("aod_select", "stage.aod_select"),
+        ("schedule", "stage.schedule"),
+        ("frontier", "schedule.frontier"),
+        ("movement", "schedule.movement"),
+        ("blockade", "schedule.blockade"),
+        ("return", "schedule.return"),
+    ];
+    let read = |stage: &str| {
+        let labels = [("stage", stage)];
+        let calls = trace::counter("parallax_stage_calls_total", &labels).get();
+        (calls, trace::counter("parallax_stage_time_ns_total", &labels).get())
+    };
+    let before: Vec<(u64, u64)> = stages.iter().map(|&(stage, _)| read(stage)).collect();
+
+    trace::set_enabled(true);
+    let id = trace::next_trace_id();
+    {
+        let _scope = trace::trace_id_scope(id);
+        let circuit = parallax_workloads::benchmark("QFT").expect("QFT").circuit(3);
+        let config = CompilerConfig::quick(3);
+        let _ = ParallaxCompiler::new(MachineSpec::quera_aquila_256(), config).compile(&circuit);
+    }
+    trace::set_enabled(false);
+
+    let events: Vec<_> =
+        trace::snapshot_events().into_iter().filter(|e| e.trace_id == id).collect();
+    for (&(stage, span), (calls, ns)) in stages.iter().zip(before) {
+        let spans: Vec<u64> = events.iter().filter(|e| e.name == span).map(|e| e.dur_ns).collect();
+        assert!(!spans.is_empty(), "no '{span}' spans recorded");
+        let (calls_after, ns_after) = read(stage);
+        assert_eq!(calls_after - calls, spans.len() as u64, "{stage}: calls vs '{span}' spans");
+        assert_eq!(ns_after - ns, spans.iter().sum::<u64>(), "{stage}: time vs '{span}' spans");
+    }
 }

@@ -88,7 +88,7 @@ fn bench_stages(c: &mut Criterion) {
 
 /// The variational fast path against the path it replaces: rebinding a
 /// 100-point QAOA sweep from one [`CompiledTemplate`] versus 100 warm
-/// full compiles (layout + plan caches hot — the best the per-point
+/// full compiles (layout cache hot — the best the per-point
 /// pipeline can do). The per-point speedup recorded in
 /// `benches/baseline/README.md` is `warm_compile` divided by a hundredth
 /// of `rebind_100`.
@@ -101,7 +101,7 @@ fn bench_sweep(c: &mut Criterion) {
     let points: Vec<Vec<f64>> = (0..100)
         .map(|p| (0..slots).map(|s| ((p * slots + s) % 571) as f64 * 0.011 - 3.1).collect())
         .collect();
-    compiler.compile(&circuit); // warm the layout + plan caches
+    compiler.compile(&circuit); // warm the layout cache
 
     let mut group = c.benchmark_group("sweep");
     group.sample_size(10);

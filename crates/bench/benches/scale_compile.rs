@@ -1,7 +1,7 @@
 //! `scale/*` benches: the post-placement cold pipeline at fleet scale.
 //!
 //! Each iteration re-jitters the layout with a fresh seed, so the
-//! discretized array (and every layout/plan-cache fingerprint) differs and
+//! discretized array (and every layout-cache fingerprint) differs and
 //! the compiler pays the genuinely cold path — this is the data-layout
 //! trajectory bench for the SoA/CSR core. CI's smoke step runs it at
 //! `PARALLAX_BENCH_SAMPLES=1` (one Synthetic-2048 cold compile) under the

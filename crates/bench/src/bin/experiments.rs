@@ -207,14 +207,14 @@ fn main() {
             parallax_core::profile::render()
         );
         let lc = parallax_core::layout_cache_stats();
-        let pc = parallax_core::plan_cache_stats();
+        let tc = parallax_core::template_cache_stats();
         println!(
             "layout cache: len {} weight {}/{} hits {} misses {} evictions {}",
             lc.len, lc.weight, lc.capacity, lc.hits, lc.misses, lc.evictions
         );
         println!(
-            "plan cache:   len {} weight {}/{} hits {} misses {} evictions {}",
-            pc.len, pc.weight, pc.capacity, pc.hits, pc.misses, pc.evictions
+            "tmpl cache:   len {} weight {}/{} hits {} misses {} evictions {}",
+            tc.len, tc.weight, tc.capacity, tc.hits, tc.misses, tc.evictions
         );
     }
 

@@ -614,7 +614,7 @@ pub fn sweep_restarts_rows(rows: &[RestartSweepRow]) -> (Vec<&'static str>, Vec<
 /// structure compile into a [`parallax_core::CompiledTemplate`] (through
 /// the process-wide template cache), then `points` rebinds on a
 /// deterministic angle grid, against a warm full compile of the same
-/// circuit (layout + plan caches hot — the best the per-point pipeline
+/// circuit (layout cache hot — the best the per-point pipeline
 /// can do). Columns report per-point rebind time and the resulting
 /// speedup; benchmarks without U3 slots are skipped.
 pub fn variational_sweep_rows(
@@ -648,7 +648,7 @@ pub fn variational_sweep_rows(
             continue;
         }
 
-        compiler.compile(&circuit); // ensure layout + plan caches are hot
+        compiler.compile(&circuit); // ensure the layout cache is hot
         let t0 = std::time::Instant::now();
         let warm = compiler.compile(&circuit);
         let warm_us = t0.elapsed().as_secs_f64() * 1e6;

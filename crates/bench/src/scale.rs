@@ -9,7 +9,7 @@
 //! discretization, AOD selection, and Algorithm 1 scheduling — which is
 //! exactly where the SoA/CSR layouts live. Every sample re-jitters the
 //! layout with a fresh seed, so the discretized array differs, every
-//! layout/plan-cache key misses, and each sample pays the full cold path.
+//! layout-cache key misses, and each sample pays the full cold path.
 
 use parallax_circuit::{Circuit, CircuitBuilder};
 use parallax_core::{CompilationResult, CompilerConfig, ParallaxCompiler};
@@ -62,7 +62,7 @@ pub fn scale_circuit(qubits: usize) -> Circuit {
 /// keyed by `seed`. The jitter never flips a cell on its own, but
 /// discretization renormalizes the bounding box, so per-seed rounding
 /// flips make each seed's snapped array (and therefore every
-/// layout/plan-cache fingerprint) distinct.
+/// layout-cache fingerprint) distinct.
 pub fn scale_layout(qubits: usize, seed: u64) -> GraphineLayout {
     let side = (qubits as f64).sqrt().ceil().max(2.0) as usize;
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(0x2545_f491_4f6c_dd1d);

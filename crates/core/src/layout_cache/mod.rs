@@ -1,5 +1,5 @@
 //! Process-wide caches of the expensive per-compile intermediates: annealed
-//! GRAPHINE **layouts** and successful AOD **move plans**.
+//! GRAPHINE **layouts** and compiled **templates**.
 //!
 //! The service's result cache can only answer *exact* repeats: the same
 //! circuit with different scheduling knobs (home-return, move recursion,
@@ -25,50 +25,27 @@
 //! so a 256-qubit layout is charged 256 units while a 4-qubit one costs
 //! 4, and large stale layouts are displaced before hordes of small ones.
 //!
-//! The **move-plan cache** ([`PlanCache`]) rides the same layer: the
-//! scheduler's movement planner is a pure function of the array state and
-//! its `(mover, target, radius, recursion)` arguments, and under
-//! home-return the effective AOD configuration repeats — not only layer to
-//! layer within a compile (the scheduler's per-compile memo handles that),
-//! but across *compiles* of the same layout, which is exactly the repeat
-//! traffic a serving deployment sees after a layout-cache hit. Entries are
-//! keyed by ([`AtomArray::static_fingerprint`],
-//! [`AtomArray::aod_fingerprint`], mover, target) and store the complete
-//! placed-atom snapshot plus the radius/recursion knobs; a hit is honoured
-//! only after an **exact** state comparison
-//! ([`AtomArray::placed_state_matches`]), so a reused plan is bit-identical
-//! to what a fresh cascade would produce — by planner purity, not by
-//! trust in a 64-bit hash. The same `PARALLAX_LAYOUT_CACHE` budget governs
-//! both layers (plan entries are charged their snapshot + move counts in
-//! the same position-sized units; `0` disables both), and [`resize`]
-//! adjusts both at runtime.
+//! Move plans are not cached across compiles. The scheduler's per-compile
+//! move memo answers every repeat within a compile, and the layers above
+//! (this layout cache, the template cache, the service's result cache)
+//! answer repeats across compiles before scheduling runs.
 //!
-//! The cache layer is decomposed into one module per family — mirroring
-//! the engine-module split the ROADMAP cites from formualizer — so each
+//! The cache layer is decomposed into one module per family, so each
 //! family's key discipline and eviction semantics live (and are tested)
 //! next to their implementation:
 //!
 //! * this module — the **layout** cache plus the shared budget plumbing
 //!   ([`resize`], `PARALLAX_LAYOUT_CACHE`, [`register_cache_metrics`]);
-//! * [`plan`] — the sharded cross-compile **move-plan** cache;
 //! * [`template`] — the compiled-**template** cache for variational sweeps;
 //! * [`persist`] — the **disk tier**: a content-addressed, versioned,
 //!   corruption-tolerant file store ([`persist::DiskStore`]) that gives any
 //!   in-memory cache layer a restart-surviving life (the service's result
 //!   cache rides it today; template persistence is the designed next user).
-//!
-//! [`AtomArray::static_fingerprint`]: parallax_hardware::AtomArray::static_fingerprint
-//! [`AtomArray::aod_fingerprint`]: parallax_hardware::AtomArray::aod_fingerprint
-//! [`AtomArray::placed_state_matches`]: parallax_hardware::AtomArray::placed_state_matches
 
 pub mod persist;
-pub mod plan;
 pub mod template;
 
 pub use persist::{DiskStore, DISK_FORMAT_VERSION};
-pub use plan::{
-    lookup_plan, plan_cache_stats, record_plan, PlanCache, PlanCacheStats, PlanKey, PLAN_SHARDS,
-};
 pub use template::{
     lookup_template, record_template, template_cache_stats, TemplateCache, TemplateCacheStats,
     TemplateKey,
@@ -322,18 +299,39 @@ pub fn layout_cache_stats() -> LayoutCacheStats {
     global().lock().expect("layout cache lock").stats()
 }
 
-/// Resize **all three** process-wide cache layers at runtime (the same
+/// Counters of the deleted cross-compile move-plan cache, kept so the
+/// benchmark harness, which reads them, still builds. Always zero: no
+/// process-wide plan cache exists. Goes in the next benchmark change,
+/// together with the harness's per-layer plan-cache metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Always 0.
+    pub evictions: u64,
+    /// Always 0.
+    pub len: usize,
+}
+
+/// Always-zero [`PlanCacheStats`]; see there. Goes in the next benchmark
+/// change.
+pub fn plan_cache_stats() -> PlanCacheStats {
+    PlanCacheStats::default()
+}
+
+/// Resize **both** process-wide cache layers at runtime (the same
 /// effect as restarting with `PARALLAX_LAYOUT_CACHE=<units>`): shrinking
 /// evicts stalest-first down to the new budget, `0` disables and clears
 /// every layer. Concurrent compiles stay correct at any capacity — caches
 /// only ever change *when* work is recomputed, never its result.
 pub fn resize(capacity: usize) {
     global().lock().expect("layout cache lock").set_capacity(capacity);
-    plan::set_global_capacity(capacity);
     template::set_global_capacity(capacity);
 }
 
-/// Register the three cache layers with the process-wide metrics registry
+/// Register the two cache layers with the process-wide metrics registry
 /// as a pull-model collector: the caches keep their own counters under
 /// their own locks, and exposition samples them on demand instead of
 /// mirroring every probe into a second atomic. Idempotent — safe to call
@@ -377,13 +375,6 @@ pub fn register_cache_metrics() {
             };
             let s = layout_cache_stats();
             push(out, "layout", s.hits, s.misses, s.evictions, s.len, s.capacity, s.weight);
-            let s = plan_cache_stats();
-            push(out, "plan", s.hits, s.misses, s.evictions, s.len, s.capacity, s.weight);
-            out.push(parallax_trace::Sample::counter(
-                "parallax_cache_lock_contended_total",
-                &[("cache", "plan")],
-                s.contended,
-            ));
             let s = template_cache_stats();
             push(out, "template", s.hits, s.misses, s.evictions, s.len, s.capacity, s.weight);
         }),

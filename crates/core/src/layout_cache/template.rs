@@ -3,8 +3,8 @@
 //! [`CompiledTemplate`]s, serving variational sweeps.
 //!
 //! Entries are `Arc`-shared — a hit is a pointer clone, never a schedule
-//! copy — and weighed in the same qubit/position-sized units as the other
-//! layers under the shared `PARALLAX_LAYOUT_CACHE` budget. Most callers
+//! copy — and weighed in the same qubit-sized units as the layout layer
+//! under the shared `PARALLAX_LAYOUT_CACHE` budget. Most callers
 //! reach this layer through the [`crate::template::compiled_template`]
 //! front door rather than the raw [`lookup_template`]/[`record_template`]
 //! pair.
@@ -52,7 +52,7 @@ struct TemplateEntry {
 
 /// A template entry holds a full compiled artifact, so it is charged its
 /// qubit count plus one unit per scheduled gate index and move — the same
-/// qubit/position-sized units as the other two layers.
+/// qubit-sized units as the layout layer.
 fn template_weight(template: &CompiledTemplate) -> usize {
     let result = template.result();
     let schedule: usize =
@@ -113,7 +113,7 @@ impl TemplateCache {
                 eprintln!(
                     "warning: a {weight}-unit compiled template exceeds the whole \
                      template-cache budget ({capacity} qubit-units) and will not be cached; \
-                     PARALLAX_LAYOUT_CACHE sizes the layout, plan, and template caches — \
+                     PARALLAX_LAYOUT_CACHE sizes the layout and template caches — \
                      raise it to at least the largest sweep circuit's schedule size"
                 );
             });

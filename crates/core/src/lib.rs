@@ -22,16 +22,13 @@
 //!
 //! # Performance
 //!
-//! Three layers make repeat and near-miss traffic cheap. The process-wide
+//! Two layers make repeat and near-miss traffic cheap. The process-wide
 //! [`layout_cache`] skips the anneal for known (interaction graph,
 //! machine, placement-params) keys, with size-aware eviction (entries are
 //! charged their qubit count; `PARALLAX_LAYOUT_CACHE` sets the budget in
-//! qubit-units). Riding the same layer, the process-wide **move-plan
-//! cache** ([`layout_cache::PlanCache`]) reuses successful AOD movement
-//! plans across compiles of the same layout, keyed by (layout hash,
-//! AOD-config fingerprint) and verified against the exact array state
-//! before every reuse; within a compile, the scheduler's per-compile plan
-//! memo answers the home-return steady state with an epoch fast path.
+//! qubit-units). Within a compile, the scheduler's per-compile move memo
+//! answers the home-return steady state with an epoch fast path; move
+//! plans are not cached across compiles.
 //! Downstream, the [`scheduler`] — the whole cost of a warm-cache compile
 //! — runs on an incremental dependency frontier, a spatial blockade
 //! index, failed-move memoization, pruned endpoint cascades
@@ -53,12 +50,9 @@
 //! nested oracle. Measured cold post-placement compiles (10-sample
 //! means, one machine, `experiments scale`): Atom-1225 at 1000 qubits
 //! 21.9 ms → 12.2 ms (−44%), Synthetic-2048 at 2000 qubits 54.2 ms →
-//! 44.3 ms, Synthetic-4096 at 4000 qubits 161.5 ms → 154.8 ms. The
-//! process-wide plan cache is sharded 8 ways by key hash; lock
-//! contention is counted and exported
-//! (`parallax_cache_lock_contended_total`).
+//! 44.3 ms, Synthetic-4096 at 4000 qubits 161.5 ms → 154.8 ms.
 //!
-//! For variational traffic, a fourth layer skips the pipeline entirely:
+//! For variational traffic, a third layer skips the pipeline entirely:
 //! placement and scheduling read circuit *structure* only, never U3
 //! angles, so a [`CompiledTemplate`] compiles a structure once and
 //! [`rebind`](CompiledTemplate::rebind)s each parameter set in
@@ -110,8 +104,7 @@ pub use config::{CompilerConfig, SchedulingMode};
 pub use discretize::{discretize, DiscretizedLayout};
 pub use layout_cache::{
     cached_layout, layout_cache_stats, plan_cache_stats, template_cache_stats, LayoutCache,
-    LayoutCacheStats, PlanCache, PlanCacheStats, PlanKey, TemplateCache, TemplateCacheStats,
-    TemplateKey,
+    LayoutCacheStats, PlanCacheStats, TemplateCache, TemplateCacheStats, TemplateKey,
 };
 pub use movement::{plan_move_into_range, plan_return_home, MoveFailure, MovePlan};
 #[cfg(any(test, debug_assertions))]

@@ -34,9 +34,7 @@
 //!   cascade's outcome, success or failure, is reused while the AOD
 //!   configuration is the one it was computed against (position-epoch fast
 //!   path, exact position comparison fallback), because the planner is a
-//!   pure function of the array state; misses consult the process-wide
-//!   [`crate::layout_cache::PlanCache`] before planning, so repeat compiles
-//!   of one layout skip the cascade too;
+//!   pure function of the array state; a miss runs the cascade;
 //! * per-compile scratch vectors, cleared between layers, so the loop
 //!   performs no allocations beyond the `ScheduledLayer` outputs themselves.
 //!
@@ -122,10 +120,6 @@ pub struct CompileStats {
     /// hits, a scheduling-cost counter — reused plans are bit-identical
     /// to fresh cascades by planner purity, so the schedule is unchanged.
     pub plan_cache_hits: usize,
-    /// Successful move plans answered by the **process-wide** plan cache
-    /// ([`crate::layout_cache::PlanCache`]) — repeat traffic across
-    /// compiles of the same layout skips the probe cascade entirely.
-    pub plan_cache_cross_hits: usize,
     /// Heap allocations performed by the scheduler's bucketed blockade
     /// scratch over the whole compile: the bucket grid itself plus every
     /// capacity growth of a bucket or the occupied-cell list. The scratch
@@ -176,7 +170,7 @@ impl CompileStats {
     pub fn publish_metrics(&self) {
         type StatRow = (parallax_trace::Counter, fn(&CompileStats) -> u64);
         struct Handles {
-            table: [StatRow; 18],
+            table: [StatRow; 17],
         }
         static HANDLES: std::sync::OnceLock<Handles> = std::sync::OnceLock::new();
         let h = HANDLES.get_or_init(|| {
@@ -196,7 +190,6 @@ impl CompileStats {
                     (c("deferred_gates"), |s| s.deferred_gates as u64),
                     (c("blockade_ejections"), |s| s.blockade_ejections as u64),
                     (c("plan_memo_hits"), |s| s.plan_cache_hits as u64),
-                    (c("plan_cross_hits"), |s| s.plan_cache_cross_hits as u64),
                     (c("bucket_scratch_allocs"), |s| s.bucket_scratch_allocs as u64),
                     (c("home_return_skips"), |s| s.home_return_skips as u64),
                     (c("multi_mover_compiles"), |s| u64::from(s.multi_mover.enabled)),
@@ -417,11 +410,10 @@ impl BlockadeIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Move memoization (per-compile memo + cross-compile layer)
+// Move memoization
 // ---------------------------------------------------------------------------
 
-/// Per-compile memo of movement plans, successes and failures alike, in
-/// front of the process-wide [`crate::layout_cache::PlanCache`].
+/// Per-compile memo of movement plans, successes and failures alike.
 ///
 /// [`plan_move_into_range`] is a pure function of the array state and its
 /// `(mover, target)` arguments, and the only array mutations during
@@ -438,55 +430,32 @@ impl BlockadeIndex {
 /// moves are undone — and then re-arms the epoch fast path.
 ///
 /// The interaction radius and recursion budget are fixed for a compile, so
-/// they are not part of the key. A memo miss probes the cross-compile cache
-/// (exact-state verified, knobs included) before running the cascade; only
-/// successful plans are published there.
+/// they are not part of the key. A memo miss runs the cascade.
+#[derive(Default)]
 struct MoveMemo {
     entries: HashMap<(u32, u32), MemoEntry>,
-    /// Static half of the cross-compile key, computed once per compile
-    /// (SLM atoms never move while scheduling runs).
-    static_fp: u64,
-    /// The AOD configuration of the latest epoch that missed, computed once
-    /// per epoch.
-    aod: Option<AodConfig>,
+    /// The AOD snapshot of the latest epoch that missed, taken once per
+    /// epoch and shared by every entry recorded in it.
+    aod: Option<(u64, AodSnapshot)>,
     /// Queries answered by a recorded success.
     ok_hits: usize,
     /// Queries answered by a recorded failure.
     err_hits: usize,
-    /// Memo misses answered by the cross-compile cache.
-    cross_hits: usize,
 }
 
-struct AodConfig {
-    epoch: u64,
-    /// The cross-compile key's AOD half.
-    fingerprint: u64,
-    /// Shared by every entry recorded in this epoch.
-    snapshot: Rc<[(u32, Point)]>,
-}
+/// Every AOD atom's `(qubit, position)`, ascending id.
+type AodSnapshot = Rc<[(u32, Point)]>;
 
 struct MemoEntry {
     epoch: u64,
-    aod_snapshot: Rc<[(u32, Point)]>,
+    aod_snapshot: AodSnapshot,
     plan: Option<MovePlan>,
 }
 
 impl MoveMemo {
-    fn new(array: &AtomArray) -> Self {
-        Self {
-            entries: HashMap::new(),
-            static_fp: array.static_fingerprint(),
-            aod: None,
-            ok_hits: 0,
-            err_hits: 0,
-            cross_hits: 0,
-        }
-    }
-
-    /// [`plan_move_into_range`] behind the memo and the cross-compile
-    /// cache; `None` when the probe cascade fails. Bit-identical to calling
-    /// the planner directly, by purity plus the exact-configuration checks
-    /// on every reuse.
+    /// [`plan_move_into_range`] behind the memo; `None` when the probe
+    /// cascade fails. Bit-identical to calling the planner directly, by
+    /// purity plus the exact-configuration check on every reuse.
     fn plan(
         &mut self,
         array: &AtomArray,
@@ -503,33 +472,17 @@ impl MoveMemo {
                 return entry.plan.clone();
             }
         }
-        let _probe = parallax_trace::span!("cache.plan.probe");
-        if self.aod.as_ref().is_none_or(|c| c.epoch != epoch) {
-            let mut snapshot = Vec::new();
-            array.aod_snapshot(&mut snapshot);
-            let fingerprint = array.aod_fingerprint();
-            self.aod = Some(AodConfig { epoch, fingerprint, snapshot: snapshot.into() });
-        }
-        let aod = self.aod.as_ref().expect("set for this epoch above");
-        let aod_snapshot = Rc::clone(&aod.snapshot);
-        let key = crate::layout_cache::PlanKey {
-            layout: self.static_fp,
-            aod_config: aod.fingerprint,
-            mover,
-            target,
-        };
-        let plan = if let Some(plan) =
-            crate::layout_cache::lookup_plan(&key, array, r_um, max_recursion)
-        {
-            self.cross_hits += 1;
-            Some(plan)
-        } else {
-            let plan = plan_move_into_range(array, mover, target, r_um, max_recursion).ok();
-            if let Some(plan) = &plan {
-                crate::layout_cache::record_plan(key, array, r_um, max_recursion, plan);
+        let aod_snapshot = match &self.aod {
+            Some((e, snapshot)) if *e == epoch => Rc::clone(snapshot),
+            _ => {
+                let mut snapshot = Vec::new();
+                array.aod_snapshot(&mut snapshot);
+                let snapshot: AodSnapshot = snapshot.into();
+                self.aod = Some((epoch, Rc::clone(&snapshot)));
+                snapshot
             }
-            plan
         };
+        let plan = plan_move_into_range(array, mover, target, r_um, max_recursion).ok();
         self.entries.insert((mover, target), MemoEntry { epoch, aod_snapshot, plan: plan.clone() });
         plan
     }
@@ -610,7 +563,7 @@ pub fn schedule_gates(
         layout.array.grid().pitch_um(),
         r * blockade_factor,
     );
-    let mut memo = MoveMemo::new(&layout.array);
+    let mut memo = MoveMemo::default();
     // Home-return bookkeeping: each AOD atom's home is recorded once, the
     // first layer that ever moves it (under home-return it is back at that
     // exact position at every layer boundary, so the record never goes
@@ -873,7 +826,6 @@ pub fn schedule_gates(
     }
     stats.failed_move_memo_hits = memo.err_hits;
     stats.plan_cache_hits = memo.ok_hits;
-    stats.plan_cache_cross_hits = memo.cross_hits;
     stats.bucket_scratch_allocs = blockade.allocs;
     stats.publish_metrics();
 
@@ -887,11 +839,11 @@ pub fn schedule_gates(
 
 /// The pre-optimization Algorithm 1 implementation, verbatim: full frontier
 /// rescan per layer, `HashMap` effective positions, all-pairs blockade
-/// pass, no memoization, no plan caching. Kept as the test oracle — the
+/// pass, no memoization. Kept as the test oracle — the
 /// proptests (in-crate and in the umbrella differential suite, which is
 /// why this is `pub` in debug builds) assert [`schedule_gates`] produces
-/// bit-identical layers, moves, and stats (modulo the memo/plan-cache hit
-/// counters, which the naive path cannot have) on random circuits.
+/// bit-identical layers, moves, and stats (modulo the memo hit counters,
+/// which the naive path cannot have) on random circuits.
 #[cfg(any(test, debug_assertions))]
 pub fn schedule_gates_naive(
     circuit: &Circuit,
@@ -1343,7 +1295,6 @@ mod tests {
         let mut stats = s_fast.stats.clone();
         stats.failed_move_memo_hits = 0;
         stats.plan_cache_hits = 0;
-        stats.plan_cache_cross_hits = 0;
         stats.bucket_scratch_allocs = 0;
         stats.home_return_skips = 0;
         assert_eq!(stats, s_naive.stats);
@@ -1435,7 +1386,7 @@ mod tests {
     fn memo_reuses_a_failure_until_the_blocker_moves() {
         let mut a = memo_array();
         let r = 7.5;
-        let mut memo = MoveMemo::new(&a);
+        let mut memo = MoveMemo::default();
         // With zero recursion budget the blocked approach cannot resolve.
         assert!(memo.plan(&a, 0, 1, r, 0).is_none());
         assert_eq!(memo.err_hits, 0, "the first query runs the cascade");
@@ -1455,7 +1406,7 @@ mod tests {
     fn memo_reuses_a_plan_only_on_the_exact_configuration() {
         let mut a = plannable_array();
         let plan = plan_move_into_range(&a, 0, 1, 7.0, 80).unwrap();
-        let mut memo = MoveMemo::new(&a);
+        let mut memo = MoveMemo::default();
         assert_eq!(memo.plan(&a, 0, 1, 7.0, 80).unwrap().moves, plan.moves);
         assert_eq!(memo.ok_hits, 0, "the first query is a memo miss");
 
@@ -1482,7 +1433,7 @@ mod tests {
         // recognises the configuration; the next query takes the re-armed
         // epoch fast path.
         let mut a = memo_array();
-        let mut memo = MoveMemo::new(&a);
+        let mut memo = MoveMemo::default();
         assert!(memo.plan(&a, 0, 1, 7.5, 0).is_none());
         let home = a.position(2);
         a.apply_aod_moves(&[AodMove { q: 2, x: 77.0, y: 70.0 }]).unwrap();
@@ -1493,7 +1444,7 @@ mod tests {
 
         // Ok entry: the home-return steady state, mover out and back.
         let mut a = plannable_array();
-        let mut memo = MoveMemo::new(&a);
+        let mut memo = MoveMemo::default();
         let plan = memo.plan(&a, 0, 1, 7.0, 80).unwrap();
         let home = a.position(0);
         a.apply_aod_moves(&plan.moves).unwrap();
@@ -1508,39 +1459,32 @@ mod tests {
     fn memo_misses_for_an_unknown_pair() {
         // A recorded failure answers only its own (mover, target) key.
         let a = memo_array();
-        let mut memo = MoveMemo::new(&a);
+        let mut memo = MoveMemo::default();
         assert!(memo.plan(&a, 0, 1, 7.5, 0).is_none());
         let _ = memo.plan(&a, 2, 1, 7.5, 0);
         assert_eq!((memo.err_hits, memo.ok_hits), (0, 0));
 
         // A recorded success likewise, even for its reversed pair.
         let a = plannable_array();
-        let mut memo = MoveMemo::new(&a);
+        let mut memo = MoveMemo::default();
         assert!(memo.plan(&a, 0, 1, 7.0, 80).is_some());
         assert!(memo.plan(&a, 1, 0, 7.0, 80).is_none(), "q1 is not in the AOD");
         assert_eq!((memo.err_hits, memo.ok_hits), (0, 0));
     }
 
     #[test]
-    fn memo_serves_bit_identical_plans_from_every_level() {
-        // The memo and the cross-compile layer behind it must hand back
-        // exactly what the planner would produce.
+    fn memo_serves_bit_identical_plans() {
+        // Cold and warm, the memo must hand back exactly what the planner
+        // would produce.
         let a = plannable_array();
         let direct = plan_move_into_range(&a, 0, 1, 7.0, 80).unwrap();
-        let mut memo = MoveMemo::new(&a);
+        let mut memo = MoveMemo::default();
         let cold = memo.plan(&a, 0, 1, 7.0, 80).unwrap();
         assert_eq!(cold.moves, direct.moves);
         let warm = memo.plan(&a, 0, 1, 7.0, 80).unwrap();
         assert_eq!(warm.moves, direct.moves);
         assert_eq!(warm.max_distance_um.to_bits(), direct.max_distance_um.to_bits());
         assert_eq!(memo.ok_hits, 1, "second query answers from the per-compile memo");
-
-        // A fresh compile's memo (same process): the global layer answers
-        // with the identical plan.
-        let mut fresh = MoveMemo::new(&a);
-        let cross = fresh.plan(&a, 0, 1, 7.0, 80).unwrap();
-        assert_eq!(cross.moves, direct.moves);
-        assert_eq!(fresh.cross_hits, 1, "fresh compile must hit the cross-compile layer");
     }
 
     /// A scene captured from a SECA compile on QuEra-256: gate (q8, q6)
@@ -1574,21 +1518,19 @@ mod tests {
         let reverse = plan_move_into_range(&a, 6, 8, r, 80).expect("reverse must plan");
 
         // The scheduler's query pair, twice against the same configuration.
-        let mut memo = MoveMemo::new(&a);
+        let mut memo = MoveMemo::default();
         let query =
             |memo: &mut MoveMemo| memo.plan(&a, 8, 6, r, 80).or_else(|| memo.plan(&a, 6, 8, r, 80));
         assert_eq!(query(&mut memo).unwrap().moves, reverse.moves);
         assert_eq!((memo.err_hits, memo.ok_hits), (0, 0));
-        let cross_before = memo.cross_hits;
-        // The second query never reaches the cache or the cascade: the
-        // forward failure and the reverse plan are both memo hits.
+        // The second query never reaches the cascade: the forward failure
+        // and the reverse plan are both memo hits.
         assert_eq!(query(&mut memo).unwrap().moves, reverse.moves);
         assert_eq!((memo.err_hits, memo.ok_hits), (1, 1));
-        assert_eq!(memo.cross_hits, cross_before);
     }
 
     #[test]
-    fn repetitive_circuit_reuses_plans_within_and_across_compiles() {
+    fn repetitive_circuit_reuses_plans_and_recompiles_identically() {
         // A Trotter-style circuit: the same long-range interactions repeat
         // step after step, so under home-return the scheduler re-plans the
         // same (mover, target) against the same configuration every step.
@@ -1613,18 +1555,10 @@ mod tests {
             s1.stats
         );
 
-        // The identical schedule again (same process): the cross-compile
-        // layer now answers first-time probes, and the schedule is
-        // bit-identical.
+        // The identical schedule again: a fresh memo re-plans from
+        // scratch, and the schedule is bit-identical.
         let s2 = schedule_gates(&c, &mut second, &sel, &cfg);
         assert_eq!(s1.layers, s2.layers);
-        assert!(
-            s2.stats.plan_cache_cross_hits > 0,
-            "repeat compile must hit the cross-compile plan cache: {:?}",
-            s2.stats
-        );
-        let global = crate::layout_cache::plan_cache_stats();
-        assert!(global.hits >= u64::try_from(s2.stats.plan_cache_cross_hits).unwrap());
     }
 
     mod matches_naive_on_random_circuits {
@@ -1660,8 +1594,7 @@ mod tests {
                 let mut stats = s_fast.stats.clone();
                 stats.failed_move_memo_hits = 0;
                 stats.plan_cache_hits = 0;
-                stats.plan_cache_cross_hits = 0;
-                stats.bucket_scratch_allocs = 0;
+                        stats.bucket_scratch_allocs = 0;
                 stats.home_return_skips = 0;
                 prop_assert_eq!(&stats, &s_naive.stats);
                 for q in 0..10u32 {
@@ -1693,8 +1626,7 @@ mod tests {
                 let mut stats = s_fast.stats.clone();
                 stats.failed_move_memo_hits = 0;
                 stats.plan_cache_hits = 0;
-                stats.plan_cache_cross_hits = 0;
-                stats.bucket_scratch_allocs = 0;
+                        stats.bucket_scratch_allocs = 0;
                 stats.home_return_skips = 0;
                 prop_assert_eq!(&stats, &s_naive.stats);
             }

@@ -19,7 +19,7 @@
 //! Templates are shared process-wide through the
 //! [`layout_cache`](crate::layout_cache) layer ([`compiled_template`]),
 //! keyed by (structural hash, machine+config fingerprint) and budgeted by
-//! the same `PARALLAX_LAYOUT_CACHE` knob as the layout and plan caches.
+//! the same `PARALLAX_LAYOUT_CACHE` knob as the layout cache.
 
 use crate::layout_cache::{self, TemplateKey};
 use crate::{CompilationResult, ParallaxCompiler};
@@ -35,7 +35,7 @@ pub struct CompiledTemplate {
 }
 
 impl CompiledTemplate {
-    /// Compile `circuit` (through the regular pipeline, layout/plan caches
+    /// Compile `circuit` (through the regular pipeline, layout cache
     /// included) and abstract its angles into a template.
     pub fn compile(compiler: &ParallaxCompiler, circuit: &Circuit) -> Self {
         Self { template: CircuitTemplate::from_circuit(circuit), result: compiler.compile(circuit) }

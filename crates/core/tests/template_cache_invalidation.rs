@@ -1,7 +1,7 @@
 //! Cache-invalidation edges of the process-wide compiled-template cache
-//! (the variational-sweep layer). Like `plan_cache_invalidation`, this
-//! suite lives in its own integration-test binary (its own process)
-//! because it resizes and disables the process-global caches via
+//! (the variational-sweep layer). This suite lives in its own
+//! integration-test binary (its own process) because it resizes and
+//! disables the process-global caches via
 //! [`parallax_core::layout_cache::resize`] — inside the shared lib-test
 //! process that would race sibling tests asserting hit/miss deltas. The
 //! whole sequence runs as ONE test function for the same reason: the test

@@ -163,9 +163,7 @@ impl SpatialIndex {
     }
 }
 
-/// Per-qubit trap tag: unplaced. The tag values deliberately equal the
-/// discriminants [`AtomArray::static_fingerprint`] hashes, so the packed
-/// state and the fingerprint stay aligned by construction.
+/// Per-qubit trap tag: unplaced.
 const TAG_NONE: u8 = 0;
 /// Per-qubit trap tag: static SLM site (payload lanes hold the site).
 const TAG_SLM: u8 = 1;
@@ -180,7 +178,7 @@ const NO_OWNER: u32 = u32::MAX;
 /// (structure-of-arrays) rather than `Vec<Option<…>>`: a one-byte tag lane
 /// plus two `u32` payload lanes per qubit, and sentinel-encoded flat
 /// `f64`/`u32` arrays per AOD line. The blockade/occupancy scans and the
-/// fingerprint walks iterate contiguous dense memory, which is what keeps
+/// AOD snapshot walks iterate contiguous dense memory, which is what keeps
 /// them cheap at 4,096 sites.
 #[derive(Debug, Clone)]
 pub struct AtomArray {
@@ -331,78 +329,6 @@ impl AtomArray {
             if tag == TAG_AOD {
                 match rest.split_first() {
                     Some((&(sq, sp), tail)) if sq == q as u32 && sp == self.positions[q] => {
-                        rest = tail;
-                    }
-                    _ => return false,
-                }
-            }
-        }
-        rest.is_empty()
-    }
-
-    /// Stable fingerprint of the AOD configuration: every AOD qubit's id
-    /// and position by IEEE bit pattern, ascending id. Together with
-    /// [`Self::static_fingerprint`] it content-addresses the full array
-    /// state (cross-compile move-plan cache key); equal configurations
-    /// fingerprint equally across processes.
-    pub fn aod_fingerprint(&self) -> u64 {
-        let _sp = parallax_trace::span!("fingerprint.aod");
-        let mut h = crate::fingerprint::StableHasher::new();
-        self.for_each_aod(|q| {
-            let p = self.positions[q as usize];
-            h.write_u64(u64::from(q)).write_f64(p.x).write_f64(p.y);
-        });
-        h.finish()
-    }
-
-    /// Stable fingerprint of everything that does *not* change while the
-    /// scheduler runs: the machine, and every placed atom's trap
-    /// assignment plus — for SLM atoms — its position. AOD positions are
-    /// deliberately excluded (they live in [`Self::aod_fingerprint`]); AOD
-    /// *line assignments* are included because they steer the planner's
-    /// ordering constraints and are fixed for the compile.
-    pub fn static_fingerprint(&self) -> u64 {
-        let _sp = parallax_trace::span!("fingerprint.static");
-        let mut h = crate::fingerprint::StableHasher::new();
-        h.write_u64(self.spec.fingerprint()).write_usize(self.trap_tags.len());
-        for (q, &tag) in self.trap_tags.iter().enumerate() {
-            // The tag lane doubles as the hashed discriminant (0/1/2); the
-            // payload lanes carry exactly what the enum match used to hash,
-            // so the fingerprint is byte-identical to the nested layout.
-            h.write_u64(u64::from(tag));
-            if tag == TAG_SLM {
-                let p = self.positions[q];
-                h.write_u64(u64::from(self.trap_a[q])).write_u64(u64::from(self.trap_b[q]));
-                h.write_f64(p.x).write_f64(p.y);
-            } else if tag == TAG_AOD {
-                h.write_u64(u64::from(self.trap_a[q])).write_u64(u64::from(self.trap_b[q]));
-            }
-        }
-        h.finish()
-    }
-
-    /// Snapshot the complete placed-atom state: `(qubit, trap, position)`
-    /// for every placed qubit, ascending id. The cross-compile plan cache
-    /// stores this with each entry and verifies it exactly before reuse,
-    /// so a (vanishingly unlikely) fingerprint collision degrades to a
-    /// cache miss instead of a wrong plan.
-    pub fn placed_snapshot(&self) -> Vec<(u32, Trap, Point)> {
-        (0..self.trap_tags.len())
-            .filter_map(|q| self.trap_of(q).map(|t| (q as u32, t, self.positions[q])))
-            .collect()
-    }
-
-    /// Whether the current placed-atom state is exactly `snapshot`
-    /// (allocation-free twin of comparing against
-    /// [`Self::placed_snapshot`]).
-    pub fn placed_state_matches(&self, snapshot: &[(u32, Trap, Point)]) -> bool {
-        let mut rest = snapshot;
-        for q in 0..self.trap_tags.len() {
-            if let Some(t) = self.trap_of(q) {
-                match rest.split_first() {
-                    Some((&(sq, st, sp), tail))
-                        if sq == q as u32 && st == t && sp == self.positions[q] =>
-                    {
                         rest = tail;
                     }
                     _ => return false,
@@ -1202,55 +1128,6 @@ mod tests {
         a.apply_aod_moves(&[AodMove { q: 0, x: 15.0, y: 15.0 }]).unwrap();
         a.apply_aod_moves(&[AodMove { q: 0, x: home.x, y: home.y }]).unwrap();
         assert!(a.aod_config_matches(&snap));
-    }
-
-    #[test]
-    fn fingerprints_split_static_and_aod_state() {
-        let mut a = array();
-        a.place_in_slm(0, (2, 2));
-        a.place_in_slm(1, (6, 6));
-        a.transfer_to_aod(0, 0, 0).unwrap();
-        let (s0, m0) = (a.static_fingerprint(), a.aod_fingerprint());
-        // An AOD move changes only the AOD fingerprint…
-        a.apply_aod_moves(&[AodMove { q: 0, x: 15.0, y: 15.0 }]).unwrap();
-        assert_eq!(a.static_fingerprint(), s0);
-        assert_ne!(a.aod_fingerprint(), m0);
-        // …and returning home restores it exactly.
-        a.apply_aod_moves(&[AodMove { q: 0, x: 14.0, y: 14.0 }]).unwrap();
-        assert_eq!(a.aod_fingerprint(), m0);
-        // A different SLM layout changes the static fingerprint.
-        let mut b = array();
-        b.place_in_slm(0, (2, 2));
-        b.place_in_slm(1, (8, 6));
-        b.transfer_to_aod(0, 0, 0).unwrap();
-        assert_ne!(b.static_fingerprint(), s0);
-        // A different machine does too (even with equal geometry of atoms).
-        let mut c = AtomArray::new(MachineSpec::atom_1225(), 8);
-        c.place_in_slm(0, (2, 2));
-        c.place_in_slm(1, (6, 6));
-        c.transfer_to_aod(0, 0, 0).unwrap();
-        assert_ne!(c.static_fingerprint(), s0);
-    }
-
-    #[test]
-    fn placed_snapshot_verifies_full_state() {
-        let mut a = array();
-        a.place_in_slm(0, (2, 2));
-        a.place_in_slm(1, (6, 6));
-        a.transfer_to_aod(1, 0, 0).unwrap();
-        let snap = a.placed_snapshot();
-        assert_eq!(snap.len(), 2);
-        assert!(a.placed_state_matches(&snap));
-        // A trap change breaks the match even at identical positions.
-        let mut released = a.clone();
-        released.release_to_slm(1, (6, 6));
-        assert_eq!(released.position(1), a.position(1));
-        assert!(!released.placed_state_matches(&snap));
-        // An extra placed atom breaks it (suffix rule).
-        let mut grown = a.clone();
-        grown.place_in_slm(2, (10, 10));
-        assert!(!grown.placed_state_matches(&snap));
-        assert!(grown.placed_state_matches(&grown.placed_snapshot()));
     }
 
     #[test]

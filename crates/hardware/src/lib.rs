@@ -25,8 +25,7 @@
 //! configuration without comparing positions.
 //!
 //! Internally the array is packed SoA lanes, not `Vec<Option<..>>`: a
-//! `u8` trap-tag lane (whose values equal the fingerprint discriminants,
-//! keeping `static_fingerprint` byte-compatible), `u32` payload lanes,
+//! `u8` trap-tag lane, `u32` payload lanes,
 //! and `u32` AOD line-owner lanes with a `u32::MAX` free sentinel, so the
 //! move-scan loops stream flat memory (`docs/DATA_LAYOUT.md`). With the
 //! CSR circuit/graph layouts this took the 1000-qubit Atom-1225 cold

@@ -281,8 +281,9 @@ fn cache_layer_line(cache: Option<&Json>) -> String {
     match cache {
         Some(c) => {
             let g = |k: &str| c.get(k).and_then(Json::as_u64).unwrap_or(0);
-            // The layout cache is weighted in qubit-units; the result
-            // cache counts entries and has no `weight` gauge.
+            // Every layer reports a `weight` gauge: qubit-units for the
+            // core caches, payload bytes for the result cache. A snapshot
+            // without one falls back to the entry count.
             let fill = match c.get("weight").and_then(Json::as_u64) {
                 Some(w) => format!("len {}  weight {}/{}", g("len"), w, g("capacity")),
                 None => format!("len {}/{}", g("len"), g("capacity")),
@@ -309,9 +310,9 @@ fn fmt_us(us: u64) -> String {
 }
 
 /// Render a `STATS` snapshot as the human-readable report that
-/// `parallax-client stats` prints: job counters, queue gauge, all four
-/// cache layers (per-server result cache, process-wide layout, move-plan,
-/// and compiled-template caches), the sweep/rebind counters, the
+/// `parallax-client stats` prints: job counters, queue gauge, all three
+/// cache layers (per-server result cache, process-wide layout and
+/// compiled-template caches), the sweep/rebind counters, the
 /// `PARALLAX_PROFILE` stage table, and the latency histogram.
 pub fn render_stats(stats: &Json) -> String {
     let n = |key: &str| stats.get(key).and_then(Json::as_u64).unwrap_or(0);
@@ -347,7 +348,6 @@ pub fn render_stats(stats: &Json) -> String {
         out.push_str(&format!("disk cache    {line}\n"));
     }
     out.push_str(&format!("layout cache  {}\n", cache_layer_line(stats.get("layout_cache"))));
-    out.push_str(&format!("plan cache    {}\n", cache_layer_line(stats.get("plan_cache"))));
     out.push_str(&format!("tmpl cache    {}\n", cache_layer_line(stats.get("template_cache"))));
     let rebind_mean_ns = n("rebind_ns").checked_div(n("template_cache_hits")).unwrap_or(0);
     out.push_str(&format!(
@@ -454,7 +454,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("layout cache  len "), "layout-cache layer missing:\n{text}");
-        assert!(text.contains("plan cache    len "), "plan-cache layer missing:\n{text}");
         assert!(text.contains("tmpl cache    len "), "template-cache layer missing:\n{text}");
         assert!(
             text.contains("sweeps        points 2  template hits 1  misses 0  rebind mean 4200 ns"),
@@ -471,7 +470,6 @@ mod tests {
         assert!(text.contains("submitted 3"));
         assert!(text.contains("result cache  unavailable"));
         assert!(text.contains("layout cache  unavailable"));
-        assert!(text.contains("plan cache    unavailable"));
         assert!(text.contains("tmpl cache    unavailable"));
     }
 }

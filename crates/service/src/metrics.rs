@@ -159,12 +159,11 @@ impl Metrics {
 
     /// Snapshot every counter (plus the caller-supplied queue gauges) as
     /// the `STATS` payload. `cache` is the per-server result cache; the
-    /// process-wide sub-objects (`layout_cache`, `plan_cache`,
-    /// `template_cache`, `profile`) are snapshotted here — they are global
+    /// process-wide sub-objects (`layout_cache`, `template_cache`,
+    /// `profile`) are snapshotted here — they are global
     /// to the process, so there is nothing server-specific to inject.
     pub fn to_json(&self, queue_depth: usize, queue_capacity: usize, cache: Json) -> Json {
         let layout_cache = Self::layout_cache_json();
-        let plan_cache = Self::plan_cache_json();
         let template_cache = Self::template_cache_json();
         let profile = Self::profile_json();
         let multi_mover = Self::multi_mover_json();
@@ -186,7 +185,6 @@ impl Metrics {
             ("queue_capacity", Json::Int(queue_capacity as u64)),
             ("cache", cache),
             ("layout_cache", layout_cache),
-            ("plan_cache", plan_cache),
             ("template_cache", template_cache),
             ("profile", profile),
             ("multi_mover", multi_mover),
@@ -206,27 +204,6 @@ impl Metrics {
             ("hits", Json::Int(s.hits)),
             ("misses", Json::Int(s.misses)),
             ("evictions", Json::Int(s.evictions)),
-        ])
-    }
-
-    /// The process-wide move-plan cache counters as a `STATS` sub-object.
-    /// `capacity` and `weight` are in position-units (snapshot positions
-    /// plus stored moves per entry); `len` counts entries. Hits mean the
-    /// scheduler skipped a probe cascade for repeat traffic across
-    /// compiles; the per-compile reuse counters travel with each
-    /// compilation's own stats instead. `contended` counts probes that
-    /// found their shard's lock held — the residual serialization left
-    /// after sharding the cache across independent locks.
-    pub fn plan_cache_json() -> Json {
-        let s = parallax_core::plan_cache_stats();
-        Json::obj(vec![
-            ("len", Json::Int(s.len as u64)),
-            ("capacity", Json::Int(s.capacity as u64)),
-            ("weight", Json::Int(s.weight as u64)),
-            ("hits", Json::Int(s.hits)),
-            ("misses", Json::Int(s.misses)),
-            ("evictions", Json::Int(s.evictions)),
-            ("contended", Json::Int(s.contended)),
         ])
     }
 
@@ -341,7 +318,7 @@ mod tests {
         assert_eq!(j.get("template_cache_hits").and_then(Json::as_u64), Some(0));
         assert_eq!(j.get("rebind_ns").and_then(Json::as_u64), Some(0));
         // Every process-wide cache layer is part of every snapshot.
-        for layer in ["layout_cache", "plan_cache", "template_cache"] {
+        for layer in ["layout_cache", "template_cache"] {
             let lc = j.get(layer).unwrap_or_else(|| panic!("{layer} sub-object"));
             for key in ["len", "capacity", "weight", "hits", "misses", "evictions"] {
                 assert!(lc.get(key).and_then(Json::as_u64).is_some(), "missing {layer}.{key}");

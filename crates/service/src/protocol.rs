@@ -267,7 +267,10 @@ fn parse_sweep_params(v: &Json) -> Result<Vec<Vec<f64>>, String> {
 }
 
 impl SubmitRequest {
-    /// Resolve the target [`MachineSpec`].
+    /// Resolve the target [`MachineSpec`]. `aod_dim` must lie in
+    /// `1..=num_sites`: an AOD never holds more atoms than the machine has
+    /// sites, and the array allocates per-line lanes of that length, so an
+    /// unchecked wire value could exhaust memory.
     pub fn machine_spec(&self) -> Result<MachineSpec, String> {
         let mut spec = match self.machine.as_str() {
             "quera" => MachineSpec::quera_aquila_256(),
@@ -277,6 +280,13 @@ impl SubmitRequest {
         if let Some(dim) = self.aod_dim {
             if dim == 0 {
                 return Err("'aod_dim' must be positive".into());
+            }
+            if dim > spec.num_sites() {
+                return Err(format!(
+                    "'aod_dim' {dim} exceeds the {} sites of {}",
+                    spec.num_sites(),
+                    spec.name
+                ));
             }
             spec = spec.with_aod_dim(dim);
         }
@@ -552,6 +562,26 @@ mod tests {
         assert!(parse_request("{\"cmd\":\"submit\",\"workload\":\"QFT\",\"priority\":10}").is_err());
         let s = submit("{\"cmd\":\"submit\",\"workload\":\"QFT\",\"machine\":\"ibm\"}");
         assert!(s.machine_spec().is_err());
+    }
+
+    #[test]
+    fn aod_dim_is_bounded_by_the_site_count() {
+        let spec = |machine: &str, dim: u64| {
+            submit(&format!(
+                "{{\"cmd\":\"submit\",\"workload\":\"ADD\",\"machine\":\"{machine}\",\
+                 \"aod_dim\":{dim}}}"
+            ))
+            .machine_spec()
+        };
+        assert!(spec("quera", 0).unwrap_err().contains("positive"));
+        assert_eq!(spec("quera", 256).unwrap().aod_dim, 256);
+        let err = spec("quera", 257).unwrap_err();
+        assert!(err.contains("'aod_dim' 257 exceeds the 256 sites"), "{err}");
+        assert_eq!(spec("atom", 1225).unwrap().aod_dim, 1225);
+        assert!(spec("atom", 1226).is_err());
+        // Large enough that building the array would abort on allocation.
+        let err = spec("quera", 1 << 40).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]

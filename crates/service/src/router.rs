@@ -886,6 +886,38 @@ mod tests {
     }
 
     #[test]
+    fn router_rejects_an_oversized_aod_dim_without_a_forward() {
+        use std::io::{BufRead, BufReader, Write};
+        // The shard address is dead, so a forward would surface as a
+        // transport error; the bound must trip in the router's own
+        // resolve first.
+        let mut router = start_router(RouterConfig {
+            shards: vec!["127.0.0.1:1".to_string()],
+            connect_timeout_ms: 200,
+            ..Default::default()
+        })
+        .expect("router");
+        let mut stream = std::net::TcpStream::connect(router.addr()).expect("connect");
+        stream
+            .write_all(
+                b"{\"cmd\":\"submit\",\"workload\":\"ADD\",\"quick\":true,\
+                  \"aod_dim\":1099511627776}\n",
+            )
+            .expect("write");
+        let mut line = String::new();
+        BufReader::new(&stream).read_line(&mut line).expect("read");
+        let reply = json::parse(&line).expect("structured reply");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{line}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(error.contains("'aod_dim'"), "{line}");
+
+        let stats = ServiceClient::connect(router.addr()).unwrap().stats().unwrap();
+        let Some(Json::Arr(forwarded)) = stats.get("forwarded") else { panic!("{stats:?}") };
+        assert!(forwarded.iter().all(|n| n.as_u64() == Some(0)), "{stats:?}");
+        router.shutdown();
+    }
+
+    #[test]
     fn empty_shard_list_is_refused() {
         assert!(start_router(RouterConfig::default()).is_err());
     }

@@ -128,6 +128,26 @@ fn invalid_utf8_json_and_unknown_ops_are_rejected_without_casualties() {
 }
 
 #[test]
+fn oversized_aod_dim_is_rejected_before_any_allocation() {
+    // 2^40 AOD lines would ask the array for terabytes and abort the whole
+    // process; the submission must be refused as a structured error, both
+    // as a submit and as a sweep, and the server must keep compiling.
+    let server = test_server();
+    let addr = server.addr();
+    let cases: &[&[u8]] = &[
+        b"{\"cmd\":\"submit\",\"workload\":\"ADD\",\"quick\":true,\"aod_dim\":1099511627776}\n",
+        b"{\"cmd\":\"submit-sweep\",\"workload\":\"QAOA\",\"aod_dim\":1099511627776,\"params\":[[0.5]]}\n",
+    ];
+    for &case in cases {
+        let responses = raw_exchange(addr, case);
+        assert_eq!(responses.len(), 1, "case {case:?} -> {responses:?}");
+        assert_structured_error(&responses[0]);
+        assert!(responses[0].contains("'aod_dim'"), "{responses:?}");
+    }
+    assert_still_serving(addr);
+}
+
+#[test]
 fn malformed_sweeps_are_rejected_without_casualties() {
     let server = test_server();
     let addr = server.addr();

@@ -1,5 +1,5 @@
 //! Workspace-wide differential test layer: every fast path the compiler
-//! grew (pruned endpoint cascades, plan caches, parallel placement) is
+//! grew (pruned endpoint cascades, move memos, parallel placement) is
 //! diffed against its reference implementation on random inputs from
 //! `parallax-testkit`, and schedules are cross-checked against the
 //! statevector simulator — the oracle style every future optimization PR
@@ -24,8 +24,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Repeat compiles of the same (circuit, config) are byte-identical —
-    /// the second run answers from the layout cache and (for repeated AOD
-    /// configurations) the cross-compile plan cache, and the canonical
+    /// the second run answers from the layout cache, and the canonical
     /// payload (which digests the full schedule, every move included)
     /// must not budge. Statevector equivalence closes the loop: the
     /// cached-path schedule still implements the circuit exactly.
@@ -225,7 +224,7 @@ mod against_naive_oracles {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// The production scheduler — incremental frontier, spatial
-        /// indexes, memos, plan caches, pruned endpoint cascades — against
+        /// indexes, memos, pruned endpoint cascades — against
         /// the verbatim naive implementation, across machines, seeds, and
         /// home-return arms: identical layers, moves, stats (modulo the
         /// cache counters the naive path cannot have), and final array
@@ -249,7 +248,6 @@ mod against_naive_oracles {
             let mut stats = s_fast.stats.clone();
             stats.failed_move_memo_hits = 0;
             stats.plan_cache_hits = 0;
-            stats.plan_cache_cross_hits = 0;
             stats.bucket_scratch_allocs = 0;
             stats.home_return_skips = 0;
             prop_assert_eq!(&stats, &s_naive.stats);
@@ -297,7 +295,6 @@ mod against_naive_oracles {
         let mut stats = s_fast.stats.clone();
         stats.failed_move_memo_hits = 0;
         stats.plan_cache_hits = 0;
-        stats.plan_cache_cross_hits = 0;
         stats.bucket_scratch_allocs = 0;
         stats.home_return_skips = 0;
         assert_eq!(stats, s_naive.stats);

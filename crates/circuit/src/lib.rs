@@ -4,7 +4,7 @@
 //! [`Circuit`] type: a flat, validated gate list in the neutral-atom
 //! {U3, CZ} universal basis (the paper's Section I-A), with dependency
 //! analysis ([`dag`]), ASAP layering, a basis-lowering pass playing the role
-//! of the Qiskit transpiler ([`lower`]), a peephole optimizer ([`optimize`]),
+//! of the Qiskit transpiler ([`lower`]), a peephole optimizer ([`optimize`](mod@optimize)),
 //! and a programmatic builder for the workload generators ([`builder`]).
 //!
 //! The structures the scheduler walks per layer are CSR, not nested

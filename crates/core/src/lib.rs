@@ -8,7 +8,7 @@
 //!
 //! 1. **Placement** — GRAPHINE dual-annealed layout (`parallax-graphine`).
 //! 2. **Discretization** — snap to the machine's site grid under the
-//!    minimum-separation/padding rule ([`discretize`]).
+//!    minimum-separation/padding rule ([`discretize`](mod@discretize)).
 //! 3. **AOD selection** — score atoms by out-of-range interactions (0.99)
 //!    and blockade serialization (0.01); one atom per AOD row/column pair
 //!    ([`aod_select`]).
@@ -103,15 +103,15 @@ pub use compiler::{CompilationResult, ParallaxCompiler, SharedCompiler};
 pub use config::{CompilerConfig, SchedulingMode};
 pub use discretize::{discretize, DiscretizedLayout};
 pub use layout_cache::{
-    cached_layout, layout_cache_stats, plan_cache_stats, template_cache_stats, LayoutCache,
-    LayoutCacheStats, PlanCacheStats, TemplateCache, TemplateCacheStats, TemplateKey,
+    cached_layout, layout_cache_stats, plan_cache_stats, template_cache_stats, CacheStats,
+    LayoutCache, PlanCacheStats, TemplateCache, TemplateKey, WeightedLru,
 };
 pub use movement::{plan_move_into_range, plan_return_home, MoveFailure, MovePlan};
 #[cfg(any(test, debug_assertions))]
 pub use multi_mover::moves_conflict_naive;
 pub use multi_mover::{corridors_conflict, Corridor};
 
-/// Register core's pull-model metrics (the three cache layers) with the
+/// Register core's pull-model metrics (the two cache layers) with the
 /// process-wide `parallax-trace` registry. Once per process; every entry
 /// point calls it — compiler construction, the compile service, the bench
 /// harness — so exposition always includes the cache gauges no matter

@@ -102,7 +102,7 @@ fn endpoint_provably_blocked(array: &AtomArray, mover: u32, target: u32, endpoin
 /// caller commits it with [`AtomArray::apply_aod_moves`].
 ///
 /// Endpoint candidates that are provably infeasible (see
-/// [`endpoint_provably_blocked`]) are skipped without probing; the first
+/// `endpoint_provably_blocked`) are skipped without probing; the first
 /// accepted plan is identical to the unpruned cascade's by construction,
 /// and [`plan_move_into_range_naive`] is kept as the oracle the
 /// differential tests diff against.
@@ -120,7 +120,7 @@ pub fn plan_move_into_range(
 /// pre-filtered. Test oracle for [`plan_move_into_range`] — successful
 /// plans must be bit-identical, failures must agree modulo the
 /// `RecursionLimit`/`NoValidEndpoint` variant (see
-/// [`endpoint_provably_blocked`]).
+/// `endpoint_provably_blocked`).
 #[cfg(any(test, debug_assertions))]
 pub fn plan_move_into_range_naive(
     array: &AtomArray,

@@ -112,7 +112,7 @@ fn pair_blockaded(pair: &[Point; 2], committed: &[[Point; 2]], r: f64, factor: f
 }
 
 /// All-pairs conflict test between two move plans' corridor sets — the
-/// differential oracle for [`CorridorIndex`]'s bucketed fast path (same
+/// differential oracle for `CorridorIndex`'s bucketed fast path (same
 /// predicate, every pair checked). Kept per the `docs/DATA_LAYOUT.md`
 /// oracle-retention convention.
 #[cfg(any(test, debug_assertions))]

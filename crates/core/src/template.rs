@@ -17,7 +17,7 @@
 //! `parallax-sim`.
 //!
 //! Templates are shared process-wide through the
-//! [`layout_cache`](crate::layout_cache) layer ([`compiled_template`]),
+//! [`crate::layout_cache`] layer ([`compiled_template`]),
 //! keyed by (structural hash, machine+config fingerprint) and budgeted by
 //! the same `PARALLAX_LAYOUT_CACHE` knob as the layout cache.
 

@@ -6,7 +6,7 @@
 //!
 //! * Rydberg interaction radius and the 2.5x blockade radius ([`geometry`]),
 //! * the minimum atom separation distance,
-//! * AOD rows/columns that cannot cross and move in tandem ([`array`]),
+//! * AOD rows/columns that cannot cross and move in tandem ([`array`](mod@array)),
 //! * the discretized SLM site grid with the paper's pitch rule ([`grid`]),
 //! * the Table II machine parameters for QuEra's 256-qubit and Atom
 //!   Computing's 1,225-qubit systems ([`params`]).

@@ -11,14 +11,13 @@
 //! charging each one slot would let a handful of giants blow the memory
 //! envelope while thousands of small results were evicted to make room.
 //! Each entry is charged `payload.len().max(1)`; an entry larger than the
-//! whole budget warns once per process and is not cached (same discipline
-//! as the layout-cache family in `parallax-core`).
+//! whole budget warns once per process and is not cached.
 //!
-//! Eviction is least-recently-used via an intrusive doubly-linked list
-//! over slab indices: `get`, `insert`, and eviction are all O(1) (plus
-//! hashing), so the cache stays off the serving hot path's critical cost.
+//! The cache is `parallax-core`'s [`WeightedLru`], the one eviction policy
+//! the layout and template caches use too; this module keeps only the key,
+//! the byte charge and the warning.
 
-use std::collections::HashMap;
+use parallax_core::layout_cache::{Oversized, WeightedLru};
 
 /// Content address of one compilation: (circuit, machine+config).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,236 +29,24 @@ pub struct CacheKey {
     pub compiler: u64,
 }
 
-const NIL: usize = usize::MAX;
-
-struct Slot {
-    key: CacheKey,
-    value: String,
-    prev: usize,
-    next: usize,
-}
-
 /// Bounded LRU map from [`CacheKey`] to encoded result payloads, budgeted
 /// in payload bytes.
-pub struct ResultCache {
-    map: HashMap<CacheKey, usize>,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-    /// Most-recently-used slot index.
-    head: usize,
-    /// Least-recently-used slot index.
-    tail: usize,
-    /// Maximum total payload bytes (0 disables storage).
-    capacity: usize,
-    /// Current total payload bytes.
-    weight: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
+pub type ResultCache = WeightedLru<CacheKey, String>;
 
-/// Bytes one payload is charged (empty payloads still occupy an entry).
-fn charge(value: &str) -> usize {
-    value.len().max(1)
-}
-
-impl ResultCache {
-    /// Create a cache holding at most `capacity` bytes of payloads
-    /// (0 disables storage).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-            weight: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Maximum total payload bytes (0 = disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current total payload bytes.
-    pub fn weight(&self) -> usize {
-        self.weight
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Lifetime eviction count.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slots[i].prev = NIL;
-        self.slots[i].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    /// Drop the least-recently-used entry (callers guarantee non-empty).
-    fn evict_lru(&mut self) {
-        let lru = self.tail;
-        debug_assert_ne!(lru, NIL);
-        self.unlink(lru);
-        self.map.remove(&self.slots[lru].key);
-        self.weight -= charge(&self.slots[lru].value);
-        self.slots[lru].value = String::new();
-        self.free.push(lru);
-        self.evictions += 1;
-    }
-
-    /// Look up `key`, marking it most recently used and counting the
-    /// hit/miss.
-    pub fn get(&mut self, key: &CacheKey) -> Option<String> {
-        match self.map.get(key).copied() {
-            Some(i) => {
-                self.hits += 1;
-                self.unlink(i);
-                self.push_front(i);
-                Some(self.slots[i].value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert (or refresh) `key`, evicting least-recently-used entries
-    /// until the payload's byte charge fits. Disabled at capacity 0; a
-    /// payload outweighing the whole budget warns once per process and is
-    /// not cached (a refresh that outgrows the budget removes the stale
-    /// entry rather than keep serving it).
-    pub fn insert(&mut self, key: CacheKey, value: String) {
-        if self.capacity == 0 {
-            return;
-        }
-        let weight = charge(&value);
-        if weight > self.capacity {
-            static OVERSIZED: std::sync::Once = std::sync::Once::new();
-            let capacity = self.capacity;
-            OVERSIZED.call_once(|| {
-                eprintln!(
-                    "warning: a {weight}-byte result payload exceeds the whole result-cache \
-                     budget ({capacity} bytes) and will not be cached; raise the service \
-                     cache capacity to at least the largest expected payload"
-                );
-            });
-            if let Some(i) = self.map.remove(&key) {
-                self.unlink(i);
-                self.weight -= charge(&self.slots[i].value);
-                self.slots[i].value = String::new();
-                self.free.push(i);
-            }
-            return;
-        }
-        if let Some(i) = self.map.get(&key).copied() {
-            self.weight -= charge(&self.slots[i].value);
-            self.slots[i].value = value;
-            self.weight += weight;
-            self.unlink(i);
-            self.push_front(i);
-            while self.weight > self.capacity {
-                self.evict_lru();
-            }
-            return;
-        }
-        while self.weight + weight > self.capacity {
-            self.evict_lru();
-        }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Slot { key, value, prev: NIL, next: NIL };
-                i
-            }
-            None => {
-                self.slots.push(Slot { key, value, prev: NIL, next: NIL });
-                self.slots.len() - 1
-            }
-        };
-        self.weight += weight;
-        self.map.insert(key, i);
-        self.push_front(i);
-    }
-
-    /// Change the byte budget at runtime: shrinking evicts LRU-first down
-    /// to the new capacity, `0` disables and clears.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity == 0 {
-            self.clear();
-            return;
-        }
-        while self.weight > capacity {
-            self.evict_lru();
-        }
-    }
-
-    /// Drop every entry (counters survive; cleared entries are not counted
-    /// as evictions — nothing displaced them).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.weight = 0;
-    }
-
-    /// Visit every cached entry, most-recently-used first (the disk
-    /// persist walk). The callback must not mutate the cache.
-    pub fn for_each(&self, mut f: impl FnMut(&CacheKey, &str)) {
-        let mut i = self.head;
-        while i != NIL {
-            f(&self.slots[i].key, &self.slots[i].value);
-            i = self.slots[i].next;
-        }
+/// Insert (or refresh) a payload, charged its bytes (empty payloads still
+/// occupy an entry). A payload outweighing the whole budget is not cached
+/// and warns once per process.
+pub fn insert_payload(cache: &mut ResultCache, key: CacheKey, payload: String) {
+    let weight = payload.len().max(1);
+    if let Err(Oversized { weight, capacity }) = cache.insert(key, payload, weight) {
+        static OVERSIZED: std::sync::Once = std::sync::Once::new();
+        OVERSIZED.call_once(|| {
+            eprintln!(
+                "warning: a {weight}-byte result payload exceeds the whole result-cache \
+                 budget ({capacity} bytes) and will not be cached; raise the service \
+                 cache capacity to at least the largest expected payload"
+            );
+        });
     }
 }
 
@@ -272,135 +59,25 @@ mod tests {
     }
 
     #[test]
-    fn hit_and_miss_accounting() {
-        let mut c = ResultCache::new(64);
+    fn payloads_are_charged_their_bytes() {
+        let mut c = ResultCache::new(8);
+        insert_payload(&mut c, key(1), "abc".into());
+        insert_payload(&mut c, key(2), String::new());
+        assert_eq!((c.stats().len, c.stats().weight), (2, 4), "3 bytes + 1 for the empty one");
+        insert_payload(&mut c, key(3), "six_by".into()); // 4 + 6 > 8: evicts key 1
         assert_eq!(c.get(&key(1)), None);
-        c.insert(key(1), "abc".into());
-        assert_eq!(c.get(&key(1)), Some("abc".into()));
-        assert_eq!((c.hits(), c.misses()), (1, 1));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.weight(), 3);
-    }
-
-    #[test]
-    fn evicts_least_recently_used_by_byte_pressure() {
-        // Two 4-byte entries fill the 8-byte budget exactly.
-        let mut c = ResultCache::new(8);
-        c.insert(key(1), "aaaa".into());
-        c.insert(key(2), "bbbb".into());
-        assert_eq!(c.weight(), 8);
-        let _ = c.get(&key(1)); // 1 is now MRU; 2 is LRU
-        c.insert(key(3), "cccc".into()); // evicts 2
-        assert_eq!(c.get(&key(2)), None);
-        assert_eq!(c.get(&key(1)), Some("aaaa".into()));
-        assert_eq!(c.get(&key(3)), Some("cccc".into()));
-        assert_eq!(c.evictions(), 1);
-        assert_eq!((c.len(), c.weight()), (2, 8));
-    }
-
-    #[test]
-    fn a_large_payload_displaces_several_small_ones() {
-        let mut c = ResultCache::new(8);
-        for n in 1..=4u64 {
-            c.insert(key(n), "xx".into()); // 4 × 2 bytes
-        }
-        assert_eq!((c.len(), c.weight()), (4, 8));
-        c.insert(key(9), "six_by".into()); // 6 bytes: evicts keys 1..=3
-        assert_eq!(c.evictions(), 3);
-        assert_eq!((c.len(), c.weight()), (2, 8));
-        assert_eq!(c.get(&key(4)), Some("xx".into()));
-        assert_eq!(c.get(&key(9)), Some("six_by".into()));
-        assert_eq!(c.get(&key(1)), None);
-    }
-
-    #[test]
-    fn reinsert_refreshes_value_recency_and_weight() {
-        let mut c = ResultCache::new(8);
-        c.insert(key(1), "aa".into());
-        c.insert(key(2), "bb".into());
-        c.insert(key(1), "aaaa".into()); // refresh: weight 2→4, 2 becomes LRU
-        assert_eq!(c.weight(), 6);
-        c.insert(key(3), "cccc".into()); // 6+4 > 8: evicts 2
-        assert_eq!(c.get(&key(1)), Some("aaaa".into()));
-        assert_eq!(c.get(&key(2)), None);
-        assert_eq!(c.weight(), 8);
-    }
-
-    #[test]
-    fn oversized_payload_is_not_cached_and_drops_stale_entry() {
-        let mut c = ResultCache::new(4);
-        c.insert(key(1), "ok".into());
-        c.insert(key(1), "way too large".into()); // outweighs the budget
-        assert_eq!(c.get(&key(1)), None, "stale small value must not survive");
-        assert_eq!((c.len(), c.weight(), c.evictions()), (0, 0, 0));
-        c.insert(key(2), "much too large".into());
-        assert_eq!((c.len(), c.weight()), (0, 0));
-    }
-
-    #[test]
-    fn zero_capacity_disables_and_set_capacity_resizes() {
-        let mut off = ResultCache::new(0);
-        off.insert(key(1), "a".into());
-        assert_eq!(off.get(&key(1)), None);
-        assert_eq!(off.len(), 0);
-
-        let mut c = ResultCache::new(64);
-        for n in 0..4u64 {
-            c.insert(key(n), "abcd".into());
-        }
-        let _ = c.get(&key(0)); // 0 becomes MRU
-        c.set_capacity(8); // keeps the two most recent: 0 and 3
-        assert_eq!((c.len(), c.weight(), c.capacity()), (2, 8, 8));
-        assert!(c.get(&key(0)).is_some() && c.get(&key(3)).is_some());
-        c.set_capacity(0);
-        assert_eq!((c.len(), c.weight()), (0, 0));
-        c.set_capacity(16);
-        c.insert(key(7), "back".into());
-        assert_eq!(c.get(&key(7)), Some("back".into()));
+        assert_eq!((c.stats().weight, c.stats().evictions), (7, 1));
+        insert_payload(&mut c, key(4), "nine_byte".into()); // outweighs the budget
+        assert_eq!(c.get(&key(4)), None);
+        assert_eq!(c.stats().len, 2);
     }
 
     #[test]
     fn distinct_compiler_fingerprints_do_not_collide() {
         let mut c = ResultCache::new(64);
-        c.insert(CacheKey { circuit: 1, compiler: 1 }, "m1".into());
-        c.insert(CacheKey { circuit: 1, compiler: 2 }, "m2".into());
-        assert_eq!(c.get(&CacheKey { circuit: 1, compiler: 1 }), Some("m1".into()));
-        assert_eq!(c.get(&CacheKey { circuit: 1, compiler: 2 }), Some("m2".into()));
-    }
-
-    #[test]
-    fn for_each_walks_mru_to_lru() {
-        let mut c = ResultCache::new(64);
-        c.insert(key(1), "a".into());
-        c.insert(key(2), "b".into());
-        c.insert(key(3), "c".into());
-        let _ = c.get(&key(1));
-        let mut seen = Vec::new();
-        c.for_each(|k, v| seen.push((k.circuit, v.to_string())));
-        assert_eq!(
-            seen,
-            vec![(1, "a".into()), (3, "c".into()), (2, "b".into())],
-            "MRU first, LRU last"
-        );
-    }
-
-    #[test]
-    fn churn_preserves_budget_and_list_integrity() {
-        // Values of varying size; the invariant under churn is the byte
-        // budget, slab reuse, and list consistency — not an entry count.
-        let mut c = ResultCache::new(64);
-        for i in 0..1000u64 {
-            c.insert(key(i), "v".repeat(1 + (i % 13) as usize));
-            if i % 3 == 0 {
-                let _ = c.get(&key(i.saturating_sub(4)));
-            }
-            assert!(c.weight() <= 64, "budget respected at i={i}");
-            let mut walked = 0;
-            c.for_each(|_, _| walked += 1);
-            assert_eq!(walked, c.len(), "list consistent at i={i}");
-        }
-        // The newest entry always survives (its charge fits the budget).
-        assert_eq!(c.get(&key(999)), Some("v".repeat(1 + 999 % 13)));
-        assert!(c.evictions() > 0);
+        insert_payload(&mut c, CacheKey { circuit: 1, compiler: 1 }, "m1".into());
+        insert_payload(&mut c, CacheKey { circuit: 1, compiler: 2 }, "m2".into());
+        assert_eq!(c.get(&CacheKey { circuit: 1, compiler: 1 }).unwrap(), "m1");
+        assert_eq!(c.get(&CacheKey { circuit: 1, compiler: 2 }).unwrap(), "m2");
     }
 }

@@ -182,7 +182,7 @@ fn encode_string(s: &str, out: &mut String) {
 /// Parse one JSON value from `input` (trailing whitespace allowed,
 /// trailing garbage rejected).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -192,9 +192,17 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, and a stack overflow aborts the whole process, so a short line
+/// of brackets must fail as a [`JsonError`] instead. No protocol message
+/// nests deeper than a few levels.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -236,8 +244,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -453,6 +468,18 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"unterminated", "{\"a\":}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+        // Far past the cap, the parser stops at the cap without recursing on.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! Snapshots are encoded with the canonical [`crate::json`] encoder.
 
 use crate::json::Json;
+use parallax_core::CacheStats;
 pub use parallax_trace::Counter;
 use parallax_trace::Histogram;
 
@@ -163,8 +164,8 @@ impl Metrics {
     /// `profile`) are snapshotted here — they are global
     /// to the process, so there is nothing server-specific to inject.
     pub fn to_json(&self, queue_depth: usize, queue_capacity: usize, cache: Json) -> Json {
-        let layout_cache = Self::layout_cache_json();
-        let template_cache = Self::template_cache_json();
+        let layout_cache = Json::obj(cache_fields(parallax_core::layout_cache_stats()));
+        let template_cache = Json::obj(cache_fields(parallax_core::template_cache_stats()));
         let profile = Self::profile_json();
         let multi_mover = Self::multi_mover_json();
         let load = |c: &Counter| Json::Int(c.get());
@@ -189,39 +190,6 @@ impl Metrics {
             ("profile", profile),
             ("multi_mover", multi_mover),
             ("latency", self.latency.to_json()),
-        ])
-    }
-
-    /// The process-wide layout-cache counters as a `STATS` sub-object.
-    /// `capacity` and `weight` are in qubit-units (size-aware eviction);
-    /// `len` counts entries.
-    pub fn layout_cache_json() -> Json {
-        let s = parallax_core::layout_cache_stats();
-        Json::obj(vec![
-            ("len", Json::Int(s.len as u64)),
-            ("capacity", Json::Int(s.capacity as u64)),
-            ("weight", Json::Int(s.weight as u64)),
-            ("hits", Json::Int(s.hits)),
-            ("misses", Json::Int(s.misses)),
-            ("evictions", Json::Int(s.evictions)),
-        ])
-    }
-
-    /// The process-wide compiled-template cache counters as a `STATS`
-    /// sub-object. `capacity` and `weight` are qubit-units (a template is
-    /// charged its qubit count plus scheduled gate/move volume); `len`
-    /// counts entries. A hit means a whole variational sweep point was
-    /// served by a parameter rebind instead of a placement + scheduling
-    /// run.
-    pub fn template_cache_json() -> Json {
-        let s = parallax_core::template_cache_stats();
-        Json::obj(vec![
-            ("len", Json::Int(s.len as u64)),
-            ("capacity", Json::Int(s.capacity as u64)),
-            ("weight", Json::Int(s.weight as u64)),
-            ("hits", Json::Int(s.hits)),
-            ("misses", Json::Int(s.misses)),
-            ("evictions", Json::Int(s.evictions)),
         ])
     }
 
@@ -265,6 +233,22 @@ impl Metrics {
             ("stages", Json::Arr(stages)),
         ])
     }
+}
+
+/// The six `STATS` fields every cache sub-object (`cache`, `layout_cache`,
+/// `template_cache`) reports. `capacity` and `weight` are in the layer's
+/// unit: payload bytes for the result cache, qubit-units for the core
+/// caches (a template is charged its qubit count plus its scheduled gate
+/// and move volume).
+pub fn cache_fields(s: CacheStats) -> Vec<(&'static str, Json)> {
+    vec![
+        ("len", Json::Int(s.len as u64)),
+        ("capacity", Json::Int(s.capacity as u64)),
+        ("weight", Json::Int(s.weight as u64)),
+        ("hits", Json::Int(s.hits)),
+        ("misses", Json::Int(s.misses)),
+        ("evictions", Json::Int(s.evictions)),
+    ]
 }
 
 #[cfg(test)]

@@ -316,6 +316,25 @@ impl SubmitRequest {
         Ok(ParallaxCompiler::new(self.machine_spec()?, self.compiler_config()))
     }
 
+    /// Build the compiler and resolve the circuit, rejecting circuits that
+    /// outsize the machine. The server compiles what this returns, and the
+    /// router derives its ring key from it, so both reject a bad submission
+    /// with the same error text.
+    pub fn resolve(&self) -> Result<(ParallaxCompiler, Circuit), String> {
+        let compiler = self.build_compiler()?;
+        let circuit = self.resolve_circuit()?;
+        let machine = compiler.machine();
+        if circuit.num_qubits() > machine.num_sites() {
+            return Err(format!(
+                "circuit needs {} qubits but {} has {} sites",
+                circuit.num_qubits(),
+                machine.name,
+                machine.num_sites()
+            ));
+        }
+        Ok((compiler, circuit))
+    }
+
     /// Resolve the circuit: parse + lower + peephole-optimize QASM, or
     /// generate the named workload (already optimized by the registry).
     pub fn resolve_circuit(&self) -> Result<Circuit, String> {

@@ -489,16 +489,7 @@ fn inject_trace(trace: &mut Option<String>) {
 /// rejects them with the same error text a shard would, without burning a
 /// forward.
 fn route_key_for(req: &crate::protocol::SubmitRequest) -> Result<u64, String> {
-    let compiler = req.build_compiler()?;
-    let circuit = req.resolve_circuit()?;
-    if circuit.num_qubits() > compiler.machine().num_sites() {
-        return Err(format!(
-            "circuit needs {} qubits but {} has {} sites",
-            circuit.num_qubits(),
-            compiler.machine().name,
-            compiler.machine().num_sites()
-        ));
-    }
+    let (compiler, circuit) = req.resolve()?;
     Ok(ring_key(crate::protocol::circuit_content_hash(&circuit), compiler.fingerprint()))
 }
 
@@ -910,6 +901,40 @@ mod tests {
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{line}");
         let error = reply.get("error").and_then(Json::as_str).unwrap_or_default();
         assert!(error.contains("'aod_dim'"), "{line}");
+
+        let stats = ServiceClient::connect(router.addr()).unwrap().stats().unwrap();
+        let Some(Json::Arr(forwarded)) = stats.get("forwarded") else { panic!("{stats:?}") };
+        assert!(forwarded.iter().all(|n| n.as_u64() == Some(0)), "{stats:?}");
+        router.shutdown();
+    }
+
+    #[test]
+    fn router_rejects_a_deeply_nested_line_without_a_forward() {
+        use std::io::{BufRead, BufReader, Write};
+        // A line of open brackets used to overflow the router connection
+        // thread's stack and abort the process. The shard address is dead,
+        // so a forward would surface as a transport error; the parser's
+        // nesting cap must answer first, and the connection keeps serving.
+        let mut router = start_router(RouterConfig {
+            shards: vec!["127.0.0.1:1".to_string()],
+            connect_timeout_ms: 200,
+            ..Default::default()
+        })
+        .expect("router");
+        let mut stream = std::net::TcpStream::connect(router.addr()).expect("connect");
+        let mut bytes = vec![b'['; 100_000];
+        bytes.extend_from_slice(b"\n{\"cmd\":\"ping\"}\n");
+        stream.write_all(&bytes).expect("write");
+        let mut reader = BufReader::new(&stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        let reply = json::parse(&line).expect("structured reply");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{line}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(error.contains("nesting"), "{line}");
+        line.clear();
+        reader.read_line(&mut line).expect("read");
+        assert!(line.contains("\"pong\":true"), "{line}");
 
         let stats = ServiceClient::connect(router.addr()).unwrap().stats().unwrap();
         let Some(Json::Arr(forwarded)) = stats.get("forwarded") else { panic!("{stats:?}") };

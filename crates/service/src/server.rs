@@ -12,18 +12,17 @@
 //! and the caller blocks until every *accepted* job has compiled and
 //! replied — nothing accepted is ever dropped.
 
-use crate::cache::{CacheKey, ResultCache};
+use crate::cache::{insert_payload, CacheKey, ResultCache};
 use crate::disk::DiskCache;
 use crate::json::Json;
-use crate::metrics::Metrics;
+use crate::metrics::{cache_fields, Metrics};
 use crate::protocol::{
     circuit_content_hash, compile_payload, error_response, parse_request, CacheOp, Request,
     SubmitRequest, SweepRequest,
 };
 use crate::queue::{JobQueue, PushError};
 use crate::worker::{effective_workers, spawn_workers, Job, JobOutcome};
-use parallax_circuit::{Circuit, CircuitTemplate};
-use parallax_core::ParallaxCompiler;
+use parallax_circuit::CircuitTemplate;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,34 +115,20 @@ impl ServiceShared {
     /// tier (all-zero `len`/counters when no disk dir is configured, so
     /// the snapshot shape is stable either way).
     fn cache_json(&self) -> Json {
-        let c = self.cache.lock().expect("cache lock");
-        let disk = match &self.disk {
-            Some(d) => Json::obj(vec![
-                ("enabled", Json::Bool(true)),
-                ("len", Json::Int(d.len() as u64)),
-                ("hits", Json::Int(d.hits.get())),
-                ("misses", Json::Int(d.misses.get())),
-                ("stores", Json::Int(d.stores.get())),
-                ("store_errors", Json::Int(d.store_errors.get())),
-            ]),
-            None => Json::obj(vec![
-                ("enabled", Json::Bool(false)),
-                ("len", Json::Int(0)),
-                ("hits", Json::Int(0)),
-                ("misses", Json::Int(0)),
-                ("stores", Json::Int(0)),
-                ("store_errors", Json::Int(0)),
-            ]),
-        };
-        Json::obj(vec![
-            ("len", Json::Int(c.len() as u64)),
-            ("capacity", Json::Int(c.capacity() as u64)),
-            ("weight", Json::Int(c.weight() as u64)),
-            ("hits", Json::Int(c.hits())),
-            ("misses", Json::Int(c.misses())),
-            ("evictions", Json::Int(c.evictions())),
-            ("disk", disk),
-        ])
+        let stats = self.cache.lock().expect("cache lock").stats();
+        let d = self.disk.as_ref();
+        let count = |f: fn(&DiskCache) -> u64| Json::Int(d.map_or(0, f));
+        let disk = Json::obj(vec![
+            ("enabled", Json::Bool(d.is_some())),
+            ("len", count(|d| d.len() as u64)),
+            ("hits", count(|d| d.hits.get())),
+            ("misses", count(|d| d.misses.get())),
+            ("stores", count(|d| d.stores.get())),
+            ("store_errors", count(|d| d.store_errors.get())),
+        ]);
+        let mut fields = cache_fields(stats);
+        fields.push(("disk", disk));
+        Json::obj(fields)
     }
 }
 
@@ -502,12 +487,16 @@ fn handle_cache_op(op: CacheOp, core: &Arc<ServerCore>) -> String {
                     None,
                 );
             };
-            let mut persisted = 0u64;
-            shared.cache.lock().expect("cache lock").for_each(|key, payload| {
+            // Copy the entries out, then write them with the lock released:
+            // each store fsyncs, and submits and workers probe this cache.
+            let entries: Vec<(CacheKey, String)> = {
+                let cache = shared.cache.lock().expect("cache lock");
+                cache.iter().map(|(key, payload)| (*key, payload.clone())).collect()
+            };
+            for (key, payload) in &entries {
                 disk.store(key, payload);
-                persisted += 1;
-            });
-            pairs.push(("persisted", Json::Int(persisted)));
+            }
+            pairs.push(("persisted", Json::Int(entries.len() as u64)));
         }
     }
     pairs.push(("cache", shared.cache_json()));
@@ -571,22 +560,6 @@ fn trace_response(shared: &ServiceShared, limit: usize) -> String {
     .encode()
 }
 
-/// Build the compiler and resolve the circuit for a submission, rejecting
-/// circuits that outsize the machine. Shared by submit and submit-sweep.
-fn resolve_submission(req: &SubmitRequest) -> Result<(ParallaxCompiler, Circuit), String> {
-    let compiler = req.build_compiler()?;
-    let circuit = req.resolve_circuit()?;
-    if circuit.num_qubits() > compiler.machine().num_sites() {
-        return Err(format!(
-            "circuit needs {} qubits but {} has {} sites",
-            circuit.num_qubits(),
-            compiler.machine().name,
-            compiler.machine().num_sites()
-        ));
-    }
-    Ok((compiler, circuit))
-}
-
 fn handle_submit(req: &SubmitRequest, core: &Arc<ServerCore>) -> String {
     let shared = &core.shared;
     let arrived = Instant::now();
@@ -605,7 +578,7 @@ fn handle_submit(req: &SubmitRequest, core: &Arc<ServerCore>) -> String {
         Metrics::inc(&shared.metrics.rejected_shutdown);
         return error_response("server is shutting down", req.id);
     }
-    let (compiler, circuit) = match resolve_submission(req) {
+    let (compiler, circuit) = match req.resolve() {
         Ok(pair) => pair,
         Err(e) => {
             Metrics::inc(&shared.metrics.bad_requests);
@@ -615,7 +588,7 @@ fn handle_submit(req: &SubmitRequest, core: &Arc<ServerCore>) -> String {
 
     let key =
         CacheKey { circuit: circuit_content_hash(&circuit), compiler: compiler.fingerprint() };
-    if let Some(payload) = shared.cache.lock().expect("cache lock").get(&key) {
+    if let Some(payload) = shared.cache.lock().expect("cache lock").get(&key).cloned() {
         Metrics::inc(&shared.metrics.cache_hits);
         let response = ok_response(req.id, &trace, true, &payload, arrived);
         shared.metrics.latency.record(arrived.elapsed().as_micros() as u64);
@@ -626,7 +599,7 @@ fn handle_submit(req: &SubmitRequest, core: &Arc<ServerCore>) -> String {
     // and served as cached, byte-identical to the compile that wrote it.
     if let Some(disk) = &shared.disk {
         if let Some(payload) = disk.load(&key) {
-            shared.cache.lock().expect("cache lock").insert(key, payload.clone());
+            insert_payload(&mut shared.cache.lock().expect("cache lock"), key, payload.clone());
             Metrics::inc(&shared.metrics.cache_hits);
             let response = ok_response(req.id, &trace, true, &payload, arrived);
             shared.metrics.latency.record(arrived.elapsed().as_micros() as u64);
@@ -698,7 +671,7 @@ fn handle_sweep(req: &SweepRequest, core: &Arc<ServerCore>) -> String {
         Metrics::inc(&shared.metrics.rejected_shutdown);
         return error_response("server is shutting down", id);
     }
-    let (compiler, circuit) = match resolve_submission(&req.submit) {
+    let (compiler, circuit) = match req.submit.resolve() {
         Ok(pair) => pair,
         Err(e) => {
             Metrics::inc(&shared.metrics.bad_requests);

@@ -7,7 +7,7 @@
 //! caught and surfaced as a per-job failure — one poisoned circuit cannot
 //! take a worker (or the server) down.
 
-use crate::cache::CacheKey;
+use crate::cache::{insert_payload, CacheKey};
 use crate::metrics::Metrics;
 use crate::protocol::compile_payload;
 use crate::queue::JobQueue;
@@ -85,7 +85,7 @@ fn worker_loop(shared: &ServiceShared) {
             if let Some(disk) = &shared.disk {
                 disk.store(&key, &payload);
             }
-            shared.cache.lock().expect("cache lock").insert(key, payload);
+            insert_payload(&mut shared.cache.lock().expect("cache lock"), key, payload);
         });
         // A dropped receiver (client went away mid-compile) is fine; the
         // result is already cached for the next submission.

@@ -128,6 +128,27 @@ fn invalid_utf8_json_and_unknown_ops_are_rejected_without_casualties() {
 }
 
 #[test]
+fn deeply_nested_lines_get_a_structured_error_and_the_connection_keeps_serving() {
+    // 100,000 open brackets are far under the default line cap, but a
+    // parser recursing once per level would overflow its thread's stack
+    // and abort the whole process. The nesting cap answers with a
+    // structured error, and a submit on the same connection compiles.
+    let server = start(ServerConfig { workers: 1, queue_capacity: 8, ..Default::default() })
+        .expect("bind ephemeral port");
+    let mut bytes = vec![b'['; 100_000];
+    bytes.push(b'\n');
+    bytes.extend_from_slice(b"{\"cmd\":\"submit\",\"workload\":\"ADD\",\"quick\":true}\n");
+    let responses = raw_exchange(server.addr(), &bytes);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert_structured_error(&responses[0]);
+    assert!(responses[0].contains("nesting"), "{responses:?}");
+    let reply = parallax_service::json::parse(&responses[1]).expect("valid JSON");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{responses:?}");
+    let swaps = reply.get("result").and_then(|r| r.get("swaps")).and_then(Json::as_u64);
+    assert_eq!(swaps, Some(0), "{responses:?}");
+}
+
+#[test]
 fn oversized_aod_dim_is_rejected_before_any_allocation() {
     // 2^40 AOD lines would ask the array for terabytes and abort the whole
     // process; the submission must be refused as a structured error, both

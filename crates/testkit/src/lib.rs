@@ -3,7 +3,7 @@
 //! Every crate's tests used to carry its own ad-hoc random-circuit
 //! generator (an LCG here, a proptest strategy there), each with slightly
 //! different gate mixes and no shared shrink/replay story. This dev-only
-//! crate centralizes them: seeded [`proptest`] strategies over {U3, CZ}
+//! crate centralizes them: seeded [`proptest`](mod@proptest) strategies over {U3, CZ}
 //! circuits, OpenQASM sources, machine specs, and placement configs, plus
 //! the deterministic LCG generator for tests that want plain loops instead
 //! of a proptest harness.

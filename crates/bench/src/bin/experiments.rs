@@ -5,23 +5,21 @@
 //! experiments [table2|table3|fig9|fig10|table4|fig11|fig12|fig13|summary|all]
 //!             [--quick] [--seed N] [--trace FILE] [--metrics]
 //! experiments multi-mover [--quick] [--seed N]
-//! experiments sweep-restarts [--quick] [--seed N]
 //! experiments variational-sweep [--quick] [--seed N]
 //! experiments scale [--samples N] [--seed N]
 //! ```
 //!
 //! `--quick` restricts to six small benchmarks (useful in debug builds);
 //! the full suite is intended for `cargo run --release -p parallax-bench
-//! --bin experiments -- all`. `sweep-restarts` is a tuning mode (not part
-//! of `all`): it sweeps `PlacementConfig::restarts` over {1, 2, 4, 8} and
-//! reports placement wall time vs schedule quality, the measurement
-//! behind the preset default. `variational-sweep` (also outside `all`)
-//! measures the parameterized-template fast path: per benchmark, one
-//! structure compile followed by a 100-point rebind sweep, reporting the
-//! per-point rebind time against a warm full compile. `scale` (also
+//! --bin experiments -- all`. `multi-mover` (outside `all`) is the
+//! scheduling ablation. `variational-sweep` (also outside `all`) measures
+//! the parameterized-template fast path: per benchmark, one structure
+//! compile followed by a 100-point rebind sweep, reporting the per-point
+//! rebind time against a warm full compile. `scale` (also
 //! outside `all`) measures the post-placement cold pipeline at
 //! 1,000–4,000 qubits on Atom-1225 and the synthetic 2,048/4,096-site
-//! grids, `--samples` cold compiles per arm (default 3).
+//! grids, `--samples` cold compiles per arm (default 3). Any other
+//! subcommand prints this usage to stderr and exits with status 2.
 //!
 //! `--trace FILE` enables span tracing for the run and exports every
 //! recorded span as Chrome trace-event JSON (open in `chrome://tracing`
@@ -32,6 +30,13 @@
 
 use parallax_bench::*;
 use parallax_hardware::MachineSpec;
+
+const USAGE: &str = "\
+usage: experiments [table2|table3|fig9|fig10|table4|fig11|fig12|fig13|summary|all]
+                   [--quick] [--seed N] [--trace FILE] [--metrics]
+       experiments multi-mover [--quick] [--seed N]
+       experiments variational-sweep [--quick] [--seed N]
+       experiments scale [--samples N] [--seed N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,7 +73,16 @@ fn main() {
     }
     parallax_core::register_observability();
 
-    let run = |name: &str| which == name || which == "all";
+    // `dispatched` records whether any mode ran, so an unknown subcommand
+    // is caught by the dispatch itself rather than by a second name list.
+    let dispatched = std::cell::Cell::new(false);
+    let matches = |hit: bool| {
+        dispatched.set(dispatched.get() || hit);
+        hit
+    };
+    let run = |name: &str| matches(which == name || which == "all");
+    // Modes outside `all`.
+    let run_alone = |name: &str| matches(which == name);
 
     if run("table2") {
         let (h, d) = table2_rows();
@@ -148,7 +162,7 @@ fn main() {
     // paper-preset outputs stay byte-identical): default vs multi-mover
     // layers on the Table III workloads, statevector-verified where the
     // simulator can hold the circuit.
-    if which == "multi-mover" {
+    if run_alone("multi-mover") {
         let benches = selected_benchmarks(quick);
         eprintln!("[experiments] multi-mover ablation: {} benchmarks x 2 arms...", benches.len());
         let rows = multi_mover_ablation(&benches, MachineSpec::quera_aquila_256(), seed);
@@ -159,21 +173,9 @@ fn main() {
         );
     }
 
-    // Tuning mode, deliberately excluded from `all`: every arm re-anneals.
-    if which == "sweep-restarts" {
-        let benches = selected_benchmarks(quick);
-        eprintln!("[experiments] restart sweep: {} benchmarks x 4 arms...", benches.len());
-        let rows = sweep_restarts(&benches, MachineSpec::quera_aquila_256(), seed, &[1, 2, 4, 8]);
-        let (h, d) = sweep_restarts_rows(&rows);
-        println!(
-            "== Restart sweep: placement cost vs schedule quality (QuEra-256) ==\n{}",
-            render_table(&h, &d)
-        );
-    }
-
-    // The variational-sweep scenario (outside `all`, like sweep-restarts):
+    // The variational-sweep scenario (outside `all`, like multi-mover):
     // the QAOA/VQE serving shape — one structure, many angle bindings.
-    if which == "variational-sweep" {
+    if run_alone("variational-sweep") {
         let benches = selected_benchmarks(quick);
         eprintln!("[experiments] variational sweep: {} benchmarks x 100 points...", benches.len());
         let (h, d) = variational_sweep_rows(&benches, seed, 100);
@@ -188,17 +190,22 @@ fn main() {
         );
     }
 
-    // Fleet-scale cold-compile mode (outside `all`, like sweep-restarts:
+    // Fleet-scale cold-compile mode (outside `all`, like multi-mover:
     // the table prints wall-clock times, so it can never join the
     // byte-identity set). Post-placement pipeline, fresh jittered layout
     // per sample — every cache key cold.
-    if which == "scale" {
+    if run_alone("scale") {
         eprintln!("[experiments] scale: 3 machine arms x {samples} cold compiles...");
         let (h, d) = scale::scale_rows(samples.max(1), seed);
         println!(
             "== Scale: post-placement cold compile at 1k-4k qubits ==\n{}",
             render_table(&h, &d)
         );
+    }
+
+    if !dispatched.get() {
+        eprintln!("error: unknown subcommand `{which}`\n{USAGE}");
+        std::process::exit(2);
     }
 
     if parallax_core::profile::enabled() {

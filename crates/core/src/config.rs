@@ -82,8 +82,7 @@ impl CompilerConfig {
     /// and equal inputs imply bit-identical compilations. Stable across
     /// processes and platforms, unlike `DefaultHasher`. Placement knobs
     /// enter through [`PlacementConfig::fingerprint`], which covers every
-    /// result-steering field (including the restart count) and excludes
-    /// the worker count.
+    /// placement field.
     pub fn fingerprint(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(self.seed)

@@ -10,8 +10,8 @@
 //!   so different circuits with equal graphs share layouts),
 //! * the **machine** fingerprint, and
 //! * the **placement-parameter** fingerprint (seed, iteration budget,
-//!   repulsion scale, restart count — everything that steers the anneal;
-//!   the worker count is excluded because it never changes the result).
+//!   local-search budget, repulsion scale — everything that steers the
+//!   anneal).
 //!
 //! A hit returns a clone of a layout that is bit-identical to what a fresh
 //! anneal would produce (the whole placement stage is deterministic per

@@ -34,6 +34,7 @@
 //! handle. A file that fails validation is deleted best-effort so the
 //! next write replaces it.
 
+use parallax_hardware::StableHasher;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -50,15 +51,6 @@ const HEADER_LEN: usize = 28;
 /// Upper bound accepted for a single payload (guards against reading a
 /// corrupt length field as a multi-gigabyte allocation).
 const MAX_PAYLOAD_BYTES: u64 = 1 << 32;
-
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// A directory of content-addressed payload files. Cheap to clone-open
 /// from multiple threads/processes: atomic rename makes concurrent writers
@@ -118,7 +110,8 @@ impl DiskStore {
             header[..8].copy_from_slice(MAGIC);
             header[8..12].copy_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
             header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-            header[20..28].copy_from_slice(&fnv1a_64(payload).to_le_bytes());
+            let checksum = StableHasher::new().write_bytes(payload).finish();
+            header[20..28].copy_from_slice(&checksum.to_le_bytes());
             file.write_all(&header)?;
             file.write_all(payload)?;
             file.sync_all()?;
@@ -175,7 +168,8 @@ fn read_validated(file: &mut fs::File) -> Option<Vec<u8>> {
     let checksum = u64::from_le_bytes(header[20..28].try_into().expect("8-byte slice"));
     let mut payload = Vec::new();
     file.read_to_end(&mut payload).ok()?;
-    if payload.len() as u64 != len || fnv1a_64(&payload) != checksum {
+    let actual = StableHasher::new().write_bytes(&payload).finish();
+    if payload.len() as u64 != len || actual != checksum {
         return None;
     }
     Some(payload)

@@ -94,7 +94,6 @@ pub mod multi_mover;
 pub mod parallel;
 pub mod parallelize;
 pub mod profile;
-pub mod queue;
 pub mod scheduler;
 pub mod template;
 
@@ -122,6 +121,5 @@ pub fn register_observability() {
 }
 pub use parallel::{compile_batch, panic_message, try_compile_batch, BatchJobError};
 pub use parallelize::{replication_plan, sweep_factors, ReplicationPlan};
-pub use queue::{JobQueue, PushError};
 pub use scheduler::{schedule_gates, CompileStats, MultiMoverStats, Schedule, ScheduledLayer};
 pub use template::{compiled_template, compiled_template_keyed, template_key, CompiledTemplate};

@@ -3,8 +3,9 @@
 //! The paper highlights Parallax's "open-source and parallel
 //! implementation". Compilations of independent circuits (or of ablation
 //! configurations of the same circuit) are embarrassingly parallel and
-//! fully deterministic per seed, so we fan them out over a shared atomic
-//! work queue; results return in input order regardless of thread count.
+//! fully deterministic per seed, so workers claim job indices from a shared
+//! atomic counter; results return in input order regardless of thread
+//! count.
 //!
 //! A panicking job is isolated to its slot: the worker catches the unwind,
 //! reports a per-job [`BatchJobError`], and moves on to the next job, so
@@ -12,21 +13,14 @@
 //! ([`try_compile_batch`]). The infallible [`compile_batch`] wrapper keeps
 //! the original signature and re-raises the first job error as a panic
 //! that names the failing job.
-//!
-//! Dispatch runs through the same bounded-priority [`JobQueue`] the
-//! compile service schedules with — one scheduler type for both entry
-//! points. A batch enqueues every index at one priority level, closes the
-//! queue, and lets the workers drain it; the queue's admission-sequence
-//! tiebreak makes the pop order FIFO, so the fan-out is deterministic.
 
 use crate::compiler::{CompilationResult, ParallaxCompiler};
 use crate::config::CompilerConfig;
-use crate::queue::JobQueue;
 use parallax_circuit::Circuit;
 use parallax_hardware::MachineSpec;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One job of a batch failed (its compile panicked).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,20 +52,12 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Priority every batch job is admitted at. Batches have no inter-job
-/// ordering preference, so a single level turns the queue's
-/// priority-then-sequence order into plain FIFO.
-const BATCH_PRIORITY: u8 = 5;
-
 /// Run `jobs` indices through `run` on up to `threads` workers, catching
 /// per-job panics. Generic over the job body so the panic-isolation
 /// machinery is testable without a panicking compiler.
 ///
-/// Indices are dispatched through the shared bounded-priority
-/// [`JobQueue`]: all enqueued up front at [`BATCH_PRIORITY`], the queue
-/// closed, and the workers pop until drained — the same
-/// admit-close-drain lifecycle the compile service runs, minus the
-/// network.
+/// Workers claim indices from one atomic counter, so each index runs
+/// exactly once, and the results are slotted back by index.
 fn run_batch<T, F>(num_jobs: usize, threads: usize, run: F) -> Vec<Result<T, BatchJobError>>
 where
     T: Send,
@@ -86,48 +72,33 @@ where
         return (0..num_jobs).map(guarded).collect();
     }
 
-    let queue = JobQueue::new(num_jobs);
-    for i in 0..num_jobs {
-        queue.try_push(i, BATCH_PRIORITY).unwrap_or_else(|_| {
-            // Unreachable: capacity == num_jobs and the queue is open.
-            panic!("batch queue refused job {i}")
-        });
-    }
-    queue.close();
-
+    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<Result<T, BatchJobError>>> = (0..num_jobs).map(|_| None).collect();
-    let (result_tx, result_rx) = mpsc::channel::<(usize, Result<T, BatchJobError>)>();
-
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let result_tx = result_tx.clone();
-            let queue = &queue;
-            let guarded = &guarded;
-            scope.spawn(move || {
-                while let Some(i) = queue.pop() {
-                    if result_tx.send((i, guarded(i))).is_err() {
-                        return;
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter publishes no data; results
+                        // come back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= num_jobs {
+                            return done;
+                        }
+                        done.push((i, guarded(i)));
                     }
-                }
-            });
-        }
-        drop(result_tx);
-        while let Ok((i, r)) = result_rx.recv() {
-            slots[i] = Some(r);
+                })
+            })
+            .collect();
+        for worker in workers {
+            // Every job panic is caught inside `guarded`, so joins succeed.
+            for (i, r) in worker.join().expect("batch worker panicked") {
+                slots[i] = Some(r);
+            }
         }
     });
-
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.unwrap_or_else(|| {
-                // Unreachable: every claimed index sends exactly one result
-                // (panics are converted to Err before the send).
-                Err(BatchJobError { index: i, message: "job result never arrived".into() })
-            })
-        })
-        .collect()
+    slots.into_iter().map(|s| s.expect("every batch index is claimed once")).collect()
 }
 
 fn effective_threads(requested: usize, num_jobs: usize) -> usize {

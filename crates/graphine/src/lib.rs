@@ -8,14 +8,14 @@
 //! smallest radius keeping all atoms mutually reachable ([`radius`] — the
 //! longest Euclidean-MST edge).
 //!
-//! The placement hot path is engineered for repeat traffic: the annealer's
-//! inner loops are allocation-free with an incremental energy table
-//! (bit-identical to the reference objective), restart streams parallelize
-//! deterministically ([`PlacementConfig::restarts`] / `workers`), and
-//! `parallax-core` caches finished layouts by (interaction-graph hash,
+//! The placement hot path is engineered for repeat traffic: each layout is
+//! one seeded dual-annealing run whose inner loops are allocation-free with
+//! an incremental energy table (bit-identical to the reference objective),
+//! and `parallax-core` caches finished layouts by (interaction-graph hash,
 //! machine fingerprint, [`PlacementConfig::fingerprint`]) so near-miss
 //! compilations skip the anneal entirely. Measured effect on the fixed-seed
-//! end-to-end benches (10-sample means, same machine, this change set):
+//! end-to-end benches when the energy table and layout cache landed
+//! (10-sample means, same machine):
 //!
 //! | Bench | before | after | speedup |
 //! |-------|--------|-------|---------|

@@ -5,6 +5,13 @@ use crate::error::{QasmError, Result};
 use crate::expr::{BinOp, Expr, UnaryFn};
 use crate::lexer::{Lexer, Token, TokenKind};
 
+/// Deepest angle expression the parser accepts, counting binary operators,
+/// signs, function calls and parentheses along one path (the service's
+/// JSON nesting bound, `MAX_DEPTH`, is the same 64). Deeper input is a
+/// positioned [`QasmError`], never a stack overflow in the parser or in
+/// the recursive `eval`/`Display`/`Drop` over the tree.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Recursive descent parser over a token stream.
 pub struct Parser {
     tokens: Vec<Token>,
@@ -206,21 +213,7 @@ impl Parser {
 
     fn parse_gate_body_stmt(&mut self) -> Result<GateBodyStmt> {
         let name = self.expect_ident("gate name")?;
-        let mut params = Vec::new();
-        if self.peek().kind == TokenKind::LParen {
-            self.bump();
-            if self.peek().kind != TokenKind::RParen {
-                loop {
-                    params.push(self.parse_expr()?);
-                    if self.peek().kind == TokenKind::Comma {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.expect(&TokenKind::RParen, "')'")?;
-        }
+        let params = self.parse_params()?;
         let mut qubits = Vec::new();
         loop {
             qubits.push(self.expect_ident("qubit name")?);
@@ -236,12 +229,20 @@ impl Parser {
 
     fn parse_gate_call(&mut self) -> Result<Statement> {
         let name = self.expect_ident("gate name")?;
+        let params = self.parse_params()?;
+        let args = self.parse_argument_list()?;
+        self.expect(&TokenKind::Semicolon, "';'")?;
+        Ok(Statement::GateCall { name, params, args })
+    }
+
+    /// An optional parenthesized, comma-separated parameter list.
+    fn parse_params(&mut self) -> Result<Vec<Expr>> {
         let mut params = Vec::new();
         if self.peek().kind == TokenKind::LParen {
             self.bump();
             if self.peek().kind != TokenKind::RParen {
                 loop {
-                    params.push(self.parse_expr()?);
+                    params.push(self.parse_expr(0)?.0);
                     if self.peek().kind == TokenKind::Comma {
                         self.bump();
                     } else {
@@ -251,9 +252,7 @@ impl Parser {
             }
             self.expect(&TokenKind::RParen, "')'")?;
         }
-        let args = self.parse_argument_list()?;
-        self.expect(&TokenKind::Semicolon, "';'")?;
-        Ok(Statement::GateCall { name, params, args })
+        Ok(params)
     }
 
     fn parse_argument_list(&mut self) -> Result<Vec<Argument>> {
@@ -279,91 +278,112 @@ impl Parser {
 
     /// Expression grammar: term-level +/-, factor-level */÷, then unary and
     /// `^` (right-associative) at the highest precedence.
-    fn parse_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_term()?;
+    ///
+    /// Each expression function takes `outer`, the number of constructs
+    /// (binary operators, signs, function calls, parentheses) enclosing the
+    /// position it parses, and returns the expression with its depth: the
+    /// most constructs on any path from its root down to a leaf. Before a
+    /// construct opens, [`Self::nest`] checks that `outer + depth` stays
+    /// within [`MAX_EXPR_DEPTH`]. That bounds this parser's recursion and
+    /// the recursion of `eval`, `Display` and `Drop` over the tree, left-deep
+    /// operator chains included.
+    fn parse_expr(&mut self, outer: usize) -> Result<(Expr, usize)> {
+        let (mut lhs, mut depth) = self.parse_term(outer)?;
         loop {
             let op = match self.peek().kind {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
                 _ => break,
             };
+            self.nest(outer + depth)?;
             self.bump();
-            let rhs = self.parse_term()?;
+            let (rhs, rhs_depth) = self.parse_term(outer + 1)?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            depth = 1 + depth.max(rhs_depth);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn parse_term(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_unary()?;
+    fn parse_term(&mut self, outer: usize) -> Result<(Expr, usize)> {
+        let (mut lhs, mut depth) = self.parse_unary(outer)?;
         loop {
             let op = match self.peek().kind {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
                 _ => break,
             };
+            self.nest(outer + depth)?;
             self.bump();
-            let rhs = self.parse_unary()?;
+            let (rhs, rhs_depth) = self.parse_unary(outer + 1)?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            depth = 1 + depth.max(rhs_depth);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr> {
-        if self.peek().kind == TokenKind::Minus {
-            self.bump();
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
-        }
-        if self.peek().kind == TokenKind::Plus {
-            self.bump();
-            return self.parse_unary();
-        }
-        self.parse_power()
+    fn parse_unary(&mut self, outer: usize) -> Result<(Expr, usize)> {
+        let negate = match self.peek().kind {
+            TokenKind::Minus => true,
+            TokenKind::Plus => false,
+            _ => return self.parse_power(outer),
+        };
+        let inner = self.nest(outer)?;
+        self.bump();
+        let (e, depth) = self.parse_unary(inner)?;
+        Ok((if negate { Expr::Neg(Box::new(e)) } else { e }, depth + 1))
     }
 
-    fn parse_power(&mut self) -> Result<Expr> {
-        let base = self.parse_atom()?;
+    fn parse_power(&mut self, outer: usize) -> Result<(Expr, usize)> {
+        let (base, base_depth) = self.parse_atom(outer)?;
         if self.peek().kind == TokenKind::Caret {
+            self.nest(outer + base_depth)?;
             self.bump();
-            let exp = self.parse_unary()?;
-            return Ok(Expr::Bin(BinOp::Pow, Box::new(base), Box::new(exp)));
+            let (exp, exp_depth) = self.parse_unary(outer + 1)?;
+            let e = Expr::Bin(BinOp::Pow, Box::new(base), Box::new(exp));
+            return Ok((e, 1 + base_depth.max(exp_depth)));
         }
-        Ok(base)
+        Ok((base, base_depth))
     }
 
-    fn parse_atom(&mut self) -> Result<Expr> {
-        match self.peek().kind.clone() {
-            TokenKind::Real(v) => {
-                self.bump();
-                Ok(Expr::Num(v))
-            }
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::Num(v as f64))
-            }
-            TokenKind::Pi => {
-                self.bump();
-                Ok(Expr::Pi)
-            }
+    fn parse_atom(&mut self, outer: usize) -> Result<(Expr, usize)> {
+        let leaf = match self.peek().kind.clone() {
+            TokenKind::Real(v) => Expr::Num(v),
+            TokenKind::Int(v) => Expr::Num(v as f64),
+            TokenKind::Pi => Expr::Pi,
             TokenKind::LParen => {
+                let inner = self.nest(outer)?;
                 self.bump();
-                let e = self.parse_expr()?;
+                let (e, depth) = self.parse_expr(inner)?;
                 self.expect(&TokenKind::RParen, "')'")?;
-                Ok(e)
+                return Ok((e, depth + 1));
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if let Some(f) = UnaryFn::from_name(&name) {
+            TokenKind::Ident(name) => match UnaryFn::from_name(&name) {
+                Some(f) => {
+                    let inner = self.nest(outer)?;
+                    self.bump();
                     self.expect(&TokenKind::LParen, "'(' after function name")?;
-                    let e = self.parse_expr()?;
+                    let (e, depth) = self.parse_expr(inner)?;
                     self.expect(&TokenKind::RParen, "')'")?;
-                    Ok(Expr::Func(f, Box::new(e)))
-                } else {
-                    Ok(Expr::Param(name))
+                    return Ok((Expr::Func(f, Box::new(e)), depth + 1));
                 }
-            }
-            other => Err(self.err_here(format!("unexpected token {other:?} in expression"))),
+                None => Expr::Param(name),
+            },
+            other => return Err(self.err_here(format!("unexpected token {other:?} in expression"))),
+        };
+        self.bump();
+        Ok((leaf, 0))
+    }
+
+    /// Open one construct at the current token, where `level` constructs
+    /// already enclose it: `level + 1`, or a positioned error past
+    /// [`MAX_EXPR_DEPTH`].
+    fn nest(&self, level: usize) -> Result<usize> {
+        if level >= MAX_EXPR_DEPTH {
+            return Err(
+                self.err_here(format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"))
+            );
         }
+        Ok(level + 1)
     }
 }
 
@@ -498,6 +518,47 @@ mod tests {
                 assert_eq!(params[0].eval_const().unwrap(), 3.0);
             }
             _ => unreachable!(),
+        }
+    }
+
+    /// An angle of each shape that grows without bound, `n` levels deep:
+    /// parentheses, unary signs, an operator chain and a `^` chain.
+    fn deep_angles(n: usize) -> [String; 4] {
+        [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}1", "-".repeat(n)),
+            format!("0{}", "+0".repeat(n)),
+            format!("2{}", "^1".repeat(n)),
+        ]
+    }
+
+    fn parse_angle(angle: &str) -> Result<Program> {
+        parse(&format!("OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n"))
+    }
+
+    #[test]
+    fn expressions_parse_up_to_the_depth_bound() {
+        // An even number of minus signs cancels; `2^1^…^1` is 2.
+        for (angle, value) in deep_angles(MAX_EXPR_DEPTH).iter().zip([1.0, 1.0, 0.0, 2.0]) {
+            let p = parse_angle(angle).unwrap_or_else(|e| panic!("{angle}: {e}"));
+            let Statement::GateCall { params, .. } = &p.statements[1] else { unreachable!() };
+            assert_eq!(params[0].eval_const().unwrap(), value, "{angle}");
+            assert!(!params[0].to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn expressions_past_the_depth_bound_are_positioned_errors() {
+        // The error points at the construct that opens level 65: the 65th
+        // parenthesis or sign, or the 65th operator of a chain (the angle
+        // starts at column 4, after `rz(`).
+        let columns = [4 + 64, 4 + 64, 5 + 2 * 64, 5 + 2 * 64];
+        for n in [MAX_EXPR_DEPTH + 1, 100_000] {
+            for (angle, col) in deep_angles(n).iter().zip(columns) {
+                let e = parse_angle(angle).unwrap_err();
+                assert!(e.message.contains("deeper than 64"), "{e}");
+                assert_eq!((e.line, e.col), (3, col), "{e}");
+            }
         }
     }
 

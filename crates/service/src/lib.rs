@@ -84,6 +84,7 @@ pub mod disk;
 pub mod json;
 pub mod metrics;
 pub mod protocol;
+pub mod queue;
 pub mod router;
 pub mod server;
 pub mod worker;
@@ -95,15 +96,11 @@ pub use client::{
 pub use disk::DiskCache;
 pub use json::{Json, JsonError};
 pub use metrics::{LatencyHistogram, Metrics};
-/// The bounded priority scheduler now lives in `parallax-core` so batch
-/// compilation and the service share one type; re-exported here so
-/// `parallax_service::queue::JobQueue` keeps resolving.
-pub use parallax_core::queue;
-pub use parallax_core::queue::{JobQueue, PushError};
 pub use protocol::{
     circuit_content_hash, compile_payload, encode_request, parse_request, schedule_digest, Request,
     SubmitRequest, SubmitSource, SweepRequest, DEFAULT_TRACE_LIMIT,
 };
+pub use queue::{JobQueue, PushError};
 pub use router::{start_router, RouterConfig, RouterHandle};
 pub use server::{start, ServerConfig, ServerHandle, ServiceShared};
 pub use worker::{Job, JobOutcome};

@@ -1,21 +1,14 @@
-//! Bounded, priority-ordered job queue with backpressure — the one
-//! scheduler type shared by every concurrent entry point.
+//! Bounded, priority-ordered job queue with backpressure between the
+//! compile server's connection threads and its worker pool.
 //!
-//! A producer (the compile server's connection threads, or
-//! [`compile_batch`](crate::compile_batch)'s dispatcher) accepts jobs
-//! faster than the compiler can run them, so the queue is the pressure
-//! point: it holds at most `capacity` jobs, pops the highest priority
-//! first (FIFO within a priority level, by admission sequence number),
-//! and tells producers apart by *why* a push failed —
-//! [`PushError::Full`] is backpressure the client should retry,
+//! The connection threads accept jobs faster than the compiler can run
+//! them, so the queue is the pressure point: it holds at most `capacity`
+//! jobs, pops the highest priority first (FIFO within a priority level, by
+//! admission sequence number), and tells producers apart by *why* a push
+//! failed — [`PushError::Full`] is backpressure the client should retry,
 //! [`PushError::Closed`] is a draining server that will never accept again.
 //! `close()` wakes all consumers; they drain what was accepted and then
 //! see `None`, which is what makes graceful shutdown lossless.
-//!
-//! `parallax-service` re-exports this module; batch compilation
-//! ([`crate::parallel`]) dispatches through the same type at a single
-//! priority level, where the admission-sequence tiebreak makes pop order
-//! FIFO and the batch fan-out deterministic.
 
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};

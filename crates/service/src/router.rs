@@ -943,6 +943,51 @@ mod tests {
     }
 
     #[test]
+    fn router_rejects_deep_qasm_expressions_without_a_forward() {
+        use std::io::{BufRead, BufReader, Write};
+        // Routing a submit resolves its QASM in the router, whose parser
+        // used to overflow the connection thread's stack on these angles.
+        // The shard is dead, so only a local rejection answers in time.
+        let mut router = start_router(RouterConfig {
+            shards: vec!["127.0.0.1:1".to_string()],
+            connect_timeout_ms: 200,
+            ..Default::default()
+        })
+        .expect("router");
+        let n = 10_000;
+        let angles = [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}1", "-".repeat(n)),
+            format!("0{}", "+0".repeat(n)),
+            format!("2{}", "^1".repeat(n)),
+        ];
+        let mut stream = std::net::TcpStream::connect(router.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        for angle in angles {
+            let line = format!(
+                "{{\"cmd\":\"submit\",\"quick\":true,\
+                 \"qasm\":\"OPENQASM 2.0;\\nqreg q[1];\\nrz({angle}) q[0];\\n\"}}\n"
+            );
+            stream.write_all(line.as_bytes()).expect("write");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read");
+            let parsed = json::parse(&reply).expect("structured reply");
+            assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false), "{reply}");
+            let error = parsed.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(error.contains("deeper than 64"), "{reply}");
+        }
+        stream.write_all(b"{\"cmd\":\"ping\"}\n").expect("write");
+        let mut pong = String::new();
+        reader.read_line(&mut pong).expect("read");
+        assert!(pong.contains("\"pong\":true"), "{pong}");
+
+        let stats = ServiceClient::connect(router.addr()).unwrap().stats().unwrap();
+        let Some(Json::Arr(forwarded)) = stats.get("forwarded") else { panic!("{stats:?}") };
+        assert!(forwarded.iter().all(|n| n.as_u64() == Some(0)), "{stats:?}");
+        router.shutdown();
+    }
+
+    #[test]
     fn empty_shard_list_is_refused() {
         assert!(start_router(RouterConfig::default()).is_err());
     }

@@ -148,6 +148,41 @@ fn deeply_nested_lines_get_a_structured_error_and_the_connection_keeps_serving()
     assert_eq!(swaps, Some(0), "{responses:?}");
 }
 
+/// A submit line whose QASM angle nests `n` levels deep in one of four
+/// shapes: parentheses, unary signs, an operator chain, a `^` chain.
+fn deep_angle_submits(n: usize) -> [String; 4] {
+    [
+        format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+        format!("{}1", "-".repeat(n)),
+        format!("0{}", "+0".repeat(n)),
+        format!("2{}", "^1".repeat(n)),
+    ]
+    .map(|angle| {
+        format!(
+            "{{\"cmd\":\"submit\",\"quick\":true,\
+             \"qasm\":\"OPENQASM 2.0;\\nqreg q[1];\\nrz({angle}) q[0];\\n\"}}\n"
+        )
+    })
+}
+
+#[test]
+fn deep_qasm_expressions_get_a_structured_error_and_the_connection_keeps_serving() {
+    // A recursive-descent expression parser, or a recursive walk over a
+    // left-deep operator chain, used to overflow the connection thread's
+    // stack at this depth and abort the whole process.
+    let server = test_server();
+    for line in deep_angle_submits(10_000) {
+        let mut bytes = line.into_bytes();
+        bytes.extend_from_slice(b"{\"cmd\":\"submit\",\"workload\":\"ADD\",\"quick\":true}\n");
+        let responses = raw_exchange(server.addr(), &bytes);
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        assert_structured_error(&responses[0]);
+        assert!(responses[0].contains("deeper than 64"), "{responses:?}");
+        let reply = parallax_service::json::parse(&responses[1]).expect("valid JSON");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{responses:?}");
+    }
+}
+
 #[test]
 fn oversized_aod_dim_is_rejected_before_any_allocation() {
     // 2^40 AOD lines would ask the array for terabytes and abort the whole

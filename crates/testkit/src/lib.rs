@@ -4,14 +4,14 @@
 //! generator (an LCG here, a proptest strategy there), each with slightly
 //! different gate mixes and no shared shrink/replay story. This dev-only
 //! crate centralizes them: seeded [`proptest`](mod@proptest) strategies over {U3, CZ}
-//! circuits, OpenQASM sources, machine specs, and placement configs, plus
+//! circuits, OpenQASM sources, machine specs, and sweep families, plus
 //! the deterministic LCG generator for tests that want plain loops instead
 //! of a proptest harness.
 //!
 //! The crate depends only on leaf crates (`parallax-circuit`,
-//! `parallax-hardware`, `parallax-graphine`), so every other crate —
-//! including ones those leaves dev-depend on transitively — can pull it in
-//! as a dev-dependency without creating a build cycle.
+//! `parallax-hardware`), so every other crate — including ones those
+//! leaves dev-depend on transitively — can pull it in as a dev-dependency
+//! without creating a build cycle.
 //!
 //! ```
 //! use parallax_testkit::lcg_circuit;
@@ -21,7 +21,6 @@
 //! ```
 
 use parallax_circuit::{Circuit, CircuitBuilder, CircuitTemplate, Gate};
-use parallax_graphine::PlacementConfig;
 use parallax_hardware::MachineSpec;
 use proptest::prelude::*;
 use proptest::strategy::Union;
@@ -117,17 +116,6 @@ pub fn large_machine() -> impl Strategy<Value = (MachineSpec, usize)> {
     (spec, 0usize..1 << 16).prop_map(|(m, roll)| {
         let max_qubits = (m.num_sites() / 16).min(64);
         (m, 8 + roll % (max_qubits - 7))
-    })
-}
-
-/// Strategy: a quick placement preset with a bounded random seed and
-/// occasional multi-restart/multi-worker arms — every knob that steers
-/// (or deliberately must not steer) placement results.
-pub fn arb_quick_placement() -> impl Strategy<Value = PlacementConfig> {
-    (0u64..1 << 20, 1usize..4, 0usize..4).prop_map(|(seed, restarts, workers)| PlacementConfig {
-        restarts,
-        workers,
-        ..PlacementConfig::quick(seed)
     })
 }
 
@@ -308,15 +296,6 @@ mod tests {
                     template.structural_hash()
                 );
             }
-        }
-
-        #[test]
-        fn placements_honour_their_knobs(p in arb_quick_placement()) {
-            prop_assert!(p.restarts >= 1 && p.restarts < 4);
-            // The worker count must never enter the fingerprint.
-            let mut q = p.clone();
-            q.workers = (q.workers + 1) % 4;
-            prop_assert_eq!(p.fingerprint(), q.fingerprint());
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Workspace-wide differential test layer: every fast path the compiler
-//! grew (pruned endpoint cascades, move memos, parallel placement) is
+//! grew (pruned endpoint cascades, move memos, layout and template caches) is
 //! diffed against its reference implementation on random inputs from
 //! `parallax-testkit`, and schedules are cross-checked against the
 //! statevector simulator — the oracle style every future optimization PR
@@ -15,9 +15,7 @@ use parallax_graphine::GraphineLayout;
 use parallax_hardware::MachineSpec;
 use parallax_service::compile_payload;
 use parallax_sim::parallax_schedule_fidelity;
-use parallax_testkit::{
-    arb_circuit, arb_hcz_circuit, arb_machine, arb_quick_placement, parameterized_circuit_family,
-};
+use parallax_testkit::{arb_circuit, arb_machine, parameterized_circuit_family};
 use proptest::prelude::*;
 
 proptest! {
@@ -87,34 +85,6 @@ proptest! {
             let f = parallax_schedule_fidelity(&bound, template.result(), seed ^ 0x7e31);
             prop_assert!((f - 1.0).abs() < 1e-7, "fidelity {}", f);
         }
-    }
-
-    /// The placement worker count changes wall-clock time only, never the
-    /// compilation — asserted around the caches (fresh layouts each side)
-    /// so the parallel annealer itself is on trial, not the cache.
-    #[test]
-    fn placement_worker_count_never_steers_the_compile(
-        circuit in arb_hcz_circuit(6, 2, 18),
-        placement in arb_quick_placement(),
-    ) {
-        let circuit = parallax_circuit::optimize(&circuit);
-        if circuit.is_empty() {
-            return Ok(());
-        }
-        let machine = MachineSpec::quera_aquila_256();
-        let config_at = |workers: usize| {
-            let placement = parallax_graphine::PlacementConfig { workers, ..placement.clone() };
-            CompilerConfig { seed: placement.seed, placement, ..CompilerConfig::default() }
-        };
-        let serial = config_at(1);
-        let parallel = config_at(8);
-        let layout_serial = GraphineLayout::generate(&circuit, &serial.placement);
-        let layout_parallel = GraphineLayout::generate(&circuit, &parallel.placement);
-        prop_assert_eq!(&layout_serial, &layout_parallel, "layouts must be bit-identical");
-        let a = ParallaxCompiler::new(machine, serial).compile_with_layout(&circuit, &layout_serial);
-        let b = ParallaxCompiler::new(machine, parallel)
-            .compile_with_layout(&circuit, &layout_parallel);
-        prop_assert_eq!(compile_payload(&a).encode(), compile_payload(&b).encode());
     }
 
     /// The flat CSR data layouts against their nested-Vec oracles, row for
@@ -218,7 +188,7 @@ mod against_naive_oracles {
     use super::*;
     use parallax_core::scheduler::schedule_gates_naive;
     use parallax_core::{discretize, schedule_gates, select_aod_qubits};
-    use parallax_testkit::arb_machine;
+    use parallax_testkit::arb_hcz_circuit;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]

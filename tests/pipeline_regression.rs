@@ -97,3 +97,28 @@ fn distinct_seeds_explore_distinct_placements() {
     let b = GraphineLayout::generate(&circuit, &PlacementConfig::quick(2));
     assert_ne!(a.positions, b.positions, "seeds 1 and 2 gave identical layouts");
 }
+
+/// Every cache key below the service — placement and compiler
+/// fingerprints, the interaction-graph hash, the disk checksum — is
+/// FNV-1a: graphine's private `WordHasher` (it sits below
+/// `parallax-hardware`) and `parallax_hardware::StableHasher` above it.
+/// Layout, template, result and disk caches are keyed by these values,
+/// so a change to any of them invalidates every persisted entry.
+#[test]
+fn stable_cache_keys_are_pinned() {
+    assert_eq!(PlacementConfig::quick(1).fingerprint(), 0x273e_61fd_a8fa_9f5f);
+    assert_eq!(PlacementConfig::default().fingerprint(), 0x1d11_2337_0e46_a911);
+    assert_eq!(CompilerConfig::quick(7).fingerprint(), 0x23d4_1a0d_f835_1d11);
+    let compiler = ParallaxCompiler::new(MachineSpec::atom_1225(), CompilerConfig::default());
+    assert_eq!(compiler.fingerprint(), 0xab71_a530_f70c_3c40);
+
+    let mut b = parallax_circuit::CircuitBuilder::new(4);
+    b.h(0).cx(0, 1).cx(1, 2).cx(2, 3).cx(0, 3);
+    let graph = parallax_graphine::InteractionGraph::from_circuit(&b.build());
+    assert_eq!(graph.stable_hash(), 0xbed9_63b9_a873_13bd);
+
+    for bytes in [&b""[..], b"a", b"foobar", &[0xff; 9], b"OPENQASM 2.0;\nqreg q[2];\n"] {
+        let stable = parallax_hardware::StableHasher::new().write_bytes(bytes).finish();
+        assert_eq!(stable, parallax_qasm::fnv1a_64(bytes), "{bytes:?}");
+    }
+}

@@ -1,7 +1,6 @@
 //! Property-based tests over the core invariants of the suite, driven by
 //! proptest-generated random circuits and layouts.
 
-use parallax_anneal::{dual_annealing_multi, AnnealParams, MultiRestartParams};
 use parallax_baselines::{compile_eldi, EldiConfig};
 use parallax_circuit::{optimize, Circuit, DependencyDag};
 use parallax_circuit::{zyz_decompose, Mat2};
@@ -107,38 +106,6 @@ proptest! {
     fn simulation_preserves_norm(circuit in random_circuit(4, 30)) {
         let sv = simulate(&circuit);
         prop_assert!((sv.norm() - 1.0).abs() < 1e-9);
-    }
-
-    /// Parallel multi-restart annealing returns a bit-identical
-    /// `AnnealResult` for 1, 2, and 8 workers — at any seed and restart
-    /// count, the worker pool only changes wall-clock time, never the
-    /// result.
-    #[test]
-    fn parallel_annealing_is_worker_count_invariant(seed in 0u64..10_000, restarts in 1usize..5) {
-        fn rastrigin(x: &[f64]) -> f64 {
-            let a = 10.0;
-            a * x.len() as f64
-                + x.iter().map(|v| v * v - a * (2.0 * PI * v).cos()).sum::<f64>()
-        }
-        let bounds = vec![(-5.12, 5.12); 3];
-        let base = AnnealParams { seed, max_iter: 60, local_search_evals: 120, ..Default::default() };
-        let at = |workers| dual_annealing_multi(
-            || rastrigin,
-            &bounds,
-            &MultiRestartParams { base: base.clone(), restarts, workers },
-        );
-        let reference = at(1);
-        for workers in [2usize, 8] {
-            let r = at(workers);
-            // Bit-level identity, not just approximate equality.
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&r.x), bits(&reference.x), "workers={}", workers);
-            prop_assert_eq!(r.energy.to_bits(), reference.energy.to_bits());
-            prop_assert_eq!(
-                (r.evals, r.iterations, r.restarts, r.allocs),
-                (reference.evals, reference.iterations, reference.restarts, reference.allocs)
-            );
-        }
     }
 
     /// Compiling through the process-wide layout cache (cold miss or warm

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parallax_bench::placement_for;
+use parallax_bench::scale::{scale_arms, scale_circuit, scale_layout};
 use parallax_circuit::optimize;
 use parallax_core::{
     discretize, schedule_gates, select_aod_qubits, CompiledTemplate, CompilerConfig,
@@ -33,6 +34,31 @@ fn bench_stages(c: &mut Criterion) {
         b.iter(|| {
             let mut d = discretize(&circuit, &layout, machine);
             select_aod_qubits(&circuit, &mut d, &CompilerConfig::quick(0))
+        })
+    });
+
+    // The cold post-placement kernels at fleet scale: the 4000-qubit
+    // scale circuit on Synthetic-4096 with its first `cold_scale` jitter
+    // layout. Neither stage caches anything, so every iteration is cold;
+    // the SQRT arms above are too small to show the site search, the MST
+    // radius or the blockade scores. `aod_select` clones the discretized
+    // layout it mutates (O(atoms), noise next to the selection itself).
+    let (machine, qubits) = scale_arms()
+        .into_iter()
+        .find(|&(_, q)| q == 4000)
+        .expect("scale arms include the 4000-qubit machine");
+    let circuit = scale_circuit(qubits);
+    let layout = scale_layout(qubits, 101);
+    group.bench_function(format!("discretize/{}", machine.name), |b| {
+        b.iter(|| discretize(&circuit, &layout, machine))
+    });
+    let discretized = discretize(&circuit, &layout, machine);
+    let config =
+        CompilerConfig { seed: 101, placement: PlacementConfig::quick(101), ..Default::default() };
+    group.bench_function(format!("aod_select/{}", machine.name), |b| {
+        b.iter(|| {
+            let mut d = discretized.clone();
+            select_aod_qubits(&circuit, &mut d, &config)
         })
     });
 

@@ -11,7 +11,7 @@
 use crate::config::CompilerConfig;
 use crate::discretize::DiscretizedLayout;
 use parallax_circuit::{layers, Circuit, Gate};
-use parallax_hardware::{violates_separation, within_blockade, Point, Trap};
+use parallax_hardware::{violates_separation, within_blockade, CellGeometry, Point, Trap};
 
 /// Outcome of AOD qubit selection.
 #[derive(Debug, Clone)]
@@ -39,7 +39,90 @@ pub fn out_of_range_counts(circuit: &Circuit, layout: &DiscretizedLayout) -> Vec
 
 /// Count, per qubit, how often its gate blockades another CZ gate scheduled
 /// in the same ASAP layer (at initial positions).
+///
+/// Each layer's CZ endpoints are bucketed by cell as the layer is walked,
+/// so gate `i` tests only the earlier gates with an endpoint in the cells
+/// its own endpoints can blockade, instead of every other gate; a per-`i`
+/// stamp counts each blockading pair once, exactly as the all-pairs
+/// `blockade_interference_counts_naive` does. Every count is a sum of
+/// `1.0`s, so the order the pairs are found in cannot change a bit.
 pub fn blockade_interference_counts(circuit: &Circuit, layout: &DiscretizedLayout) -> Vec<f64> {
+    let mut counts = vec![0.0; circuit.num_qubits()];
+    let r = layout.interaction_radius_um;
+    let spec = layout.array.spec();
+    let factor = spec.blockade_factor;
+    let pitch = layout.array.grid().pitch_um();
+    // Slack over the blockade radius for `within_blockade`'s `+1e-9`
+    // squared-distance epsilon, as in the scheduler's blockade index. The
+    // one-pitch floor on the cell keeps `r = 0` from asking for a grid of
+    // 1e-3 µm cells.
+    let reach = r * factor + 1e-3;
+    let cells = CellGeometry::new(spec.extent_um(), pitch, reach.max(pitch));
+    let mut buckets: Vec<Vec<(u32, Point)>> = vec![Vec::new(); cells.num_cells()];
+    let mut filled: Vec<usize> = Vec::new();
+    let mut seen: Vec<u32> = Vec::new();
+    let gates = circuit.gates();
+    for layer in layers(circuit) {
+        let czs: Vec<(u32, u32)> = layer
+            .iter()
+            .filter_map(|&i| match gates[i] {
+                Gate::Cz { a, b } => Some((a, b)),
+                _ => None,
+            })
+            .collect();
+        if czs.len() < 2 {
+            continue;
+        }
+        for &cell in &filled {
+            buckets[cell].clear();
+        }
+        filled.clear();
+        seen.clear();
+        seen.resize(czs.len(), 0);
+        // Gate `i` meets only the gates before it in the buckets, then
+        // joins them: each unordered pair is tested from one side.
+        for (i, &(a1, b1)) in czs.iter().enumerate() {
+            let stamp = i as u32 + 1;
+            let ends = [layout.array.position(a1), layout.array.position(b1)];
+            for p in ends {
+                cells.for_each_cell_within(p, reach, |cell| {
+                    for &(j, q) in &buckets[cell] {
+                        let j = j as usize;
+                        if seen[j] != stamp && within_blockade(&p, &q, r, factor) {
+                            seen[j] = stamp;
+                            let (a2, b2) = czs[j];
+                            for qubit in [a1, b1, a2, b2] {
+                                counts[qubit as usize] += 1.0;
+                            }
+                        }
+                    }
+                });
+            }
+            for p in ends {
+                let cell = cells.cell_of(p);
+                if buckets[cell].is_empty() {
+                    filled.push(cell);
+                }
+                buckets[cell].push((i as u32, p));
+            }
+        }
+    }
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        counts,
+        blockade_interference_counts_naive(circuit, layout),
+        "cell-indexed blockade scores disagree with the all-pairs oracle"
+    );
+    counts
+}
+
+/// The all-pairs scan [`blockade_interference_counts`] replaced, kept as
+/// its oracle.
+#[cfg(any(test, debug_assertions))]
+pub fn blockade_interference_counts_naive(
+    circuit: &Circuit,
+    layout: &DiscretizedLayout,
+) -> Vec<f64> {
     let mut counts = vec![0.0; circuit.num_qubits()];
     let r = layout.interaction_radius_um;
     let factor = layout.array.spec().blockade_factor;
@@ -375,6 +458,78 @@ mod tests {
         // blockade each other at 2.5x the radius.
         let blk = blockade_interference_counts(&c, &d);
         assert!(blk.iter().all(|&b| b >= 1.0), "{blk:?}");
+    }
+
+    mod cell_index_matches_naive {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A random CZ-heavy circuit on `n` qubits discretized from a
+        /// random layout, both drawn from one seed.
+        fn random_setup(
+            n: usize,
+            gates: usize,
+            seed: u64,
+            big: bool,
+        ) -> (Circuit, DiscretizedLayout) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut b = CircuitBuilder::new(n);
+            for _ in 0..gates {
+                let a = (next() % n as u64) as u32;
+                let o = (next() % (n as u64 - 1)) as u32;
+                if next() % 4 == 0 {
+                    b.h(a);
+                } else {
+                    b.cz(a, (a + 1 + o) % n as u32);
+                }
+            }
+            let unit = |v: u64| (v >> 11) as f64 / (1u64 << 53) as f64;
+            let layout = GraphineLayout {
+                positions: (0..n).map(|_| (unit(next()), unit(next()))).collect(),
+                interaction_radius: 0.2,
+                energy: 0.0,
+                anneal_evals: 0,
+                anneal_allocs: 0,
+            };
+            let spec = if big { MachineSpec::atom_1225() } else { MachineSpec::quera_aquila_256() };
+            let c = b.build();
+            let d = discretize(&c, &layout, spec);
+            (c, d)
+        }
+
+        proptest! {
+            /// Identical counts to the all-pairs scan, from `r = 0` through
+            /// radii past the machine's extent.
+            #[test]
+            fn on_random_layouts(
+                n in 2usize..60,
+                gates in 1usize..120,
+                seed in 0u64..u64::MAX,
+                radius_kind in 0u8..4,
+                r_scale in 0.0f64..3.0,
+                big in 0u8..2,
+            ) {
+                let (c, mut d) = random_setup(n, gates, seed, big == 1);
+                let pitch = d.array.grid().pitch_um();
+                let extent = d.array.spec().extent_um();
+                d.interaction_radius_um = match radius_kind {
+                    0 => 0.0,
+                    1 => r_scale * pitch,
+                    2 => extent * (1.0 + r_scale),
+                    _ => d.interaction_radius_um,
+                };
+                prop_assert_eq!(
+                    blockade_interference_counts(&c, &d),
+                    blockade_interference_counts_naive(&c, &d)
+                );
+            }
+        }
     }
 
     #[test]

@@ -169,10 +169,81 @@ impl SiteGrid {
         (sx, sy)
     }
 
-    /// Find the free site closest to `target` by BFS ring expansion
-    /// ("places atoms wherever there is free space" when the ideal cell is
-    /// taken). Returns `None` when the grid is full.
+    /// Find the free site closest to `target` ("places atoms wherever there
+    /// is free space" when the ideal cell is taken). Returns `None` when the
+    /// grid is full.
+    ///
+    /// For a target inside the grid the result is the exact Euclidean-nearest
+    /// free site; among equidistant ones, the first reached by an 8-connected
+    /// BFS that expands only through occupied sites wins. The BFS stops once
+    /// no unpopped site can be nearer: a nearest free site `f` is reached
+    /// along a diagonal-then-axial path whose sites are all strictly closer
+    /// to the target, hence occupied, so its BFS level equals its Chebyshev
+    /// ring, at most `dist(f) / pitch`. Once the level `L` about to be
+    /// popped has `((L - 1)·pitch)²` beyond the best squared distance found
+    /// (one ring of slack against rounding), every tie at that distance was
+    /// already popped, in the order the full walk pops them. An out-of-grid
+    /// target starts from a clamped site, where that argument fails, so it
+    /// walks the whole occupied component.
     pub fn nearest_free_site(&self, target: Site) -> Option<Site> {
+        if self.contains(target) && !self.is_occupied(target) {
+            return Some(target);
+        }
+        let stop_early = self.contains(target);
+        let mut visited = vec![false; self.dim * self.dim];
+        let mut queue = VecDeque::new();
+        let start = (target.0.min(self.dim as u16 - 1), target.1.min(self.dim as u16 - 1));
+        visited[self.index(start)] = true;
+        queue.push_back((start, 0u32));
+        let mut best: Option<(f64, Site)> = None;
+        let target_pos =
+            Point::new(target.0 as f64 * self.pitch_um, target.1 as f64 * self.pitch_um);
+        while let Some((site, level)) = queue.pop_front() {
+            if let (true, Some((bd, _))) = (stop_early, best) {
+                let ring = level.saturating_sub(1) as f64 * self.pitch_um;
+                if ring * ring > bd {
+                    break;
+                }
+            }
+            if !self.is_occupied(site) {
+                let d = self.site_position(site).distance_sq(&target_pos);
+                match best {
+                    Some((bd, _)) if bd <= d => {}
+                    _ => best = Some((d, site)),
+                }
+                continue;
+            }
+            for (dx, dy) in
+                [(0i32, 1i32), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+            {
+                let nx = site.0 as i32 + dx;
+                let ny = site.1 as i32 + dy;
+                if nx < 0 || ny < 0 || nx >= self.dim as i32 || ny >= self.dim as i32 {
+                    continue;
+                }
+                let n = (nx as u16, ny as u16);
+                let idx = self.index(n);
+                if !visited[idx] {
+                    visited[idx] = true;
+                    queue.push_back((n, level + 1));
+                }
+            }
+        }
+        let found = best.map(|(_, s)| s);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            found,
+            self.nearest_free_site_naive(target),
+            "early-stopped BFS disagrees with the full-walk oracle at {target:?}"
+        );
+        found
+    }
+
+    /// The full-walk BFS [`Self::nearest_free_site`] replaced: it pops every
+    /// site of the occupied component around the target. Kept as the oracle
+    /// the early-stopped search is diffed against.
+    #[cfg(any(test, debug_assertions))]
+    pub fn nearest_free_site_naive(&self, target: Site) -> Option<Site> {
         if self.contains(target) && !self.is_occupied(target) {
             return Some(target);
         }
@@ -191,9 +262,6 @@ impl SiteGrid {
                     Some((bd, _)) if bd <= d => {}
                     _ => best = Some((d, site)),
                 }
-                // Keep scanning the current BFS frontier for a closer free
-                // site, but do not expand further once one is found: ring
-                // distance approximates Euclidean well enough here.
                 continue;
             }
             for (dx, dy) in
@@ -305,6 +373,140 @@ mod tests {
         }
         let s = g.nearest_free_site((1, 1)).unwrap();
         assert!(!g.is_occupied(s));
+    }
+
+    #[test]
+    fn nearest_free_site_breaks_ties_by_bfs_order() {
+        // A 3×3 occupied block: the four axial sites two away are all
+        // nearest, and the BFS reaches (5, 7) first (via (5, 6), the first
+        // neighbour it expands).
+        let mut g = grid();
+        for x in 4..7u16 {
+            for y in 4..7u16 {
+                g.occupy((x, y));
+            }
+        }
+        assert_eq!(g.nearest_free_site((5, 5)), Some((5, 7)));
+        assert_eq!(g.nearest_free_site_naive((5, 5)), Some((5, 7)));
+    }
+
+    #[test]
+    fn nearest_free_site_finds_the_last_free_site() {
+        let spec = MachineSpec { grid_dim: 9, ..MachineSpec::quera_aquila_256() };
+        let mut g = SiteGrid::new(&spec);
+        for x in 0..9u16 {
+            for y in 0..9u16 {
+                if (x, y) != (8, 0) {
+                    g.occupy((x, y));
+                }
+            }
+        }
+        for target in [(0, 8), (4, 4), (8, 1), (0, 0), (20, 20)] {
+            assert_eq!(g.nearest_free_site(target), Some((8, 0)), "{target:?}");
+        }
+    }
+
+    mod early_stop_matches_naive {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A `dim`-sided grid filled from one seed: `shape` 0 fills each site
+        /// with probability `fill_pct`, 1 fills every site, 2 leaves a single
+        /// site free, 3 occupies a square block around `around` (so the
+        /// nearest free sites form an equidistant ring), 4 occupies a
+        /// Euclidean disc around `around` (so a far-ring axial site can beat
+        /// a near-ring diagonal one, which a too-early stop would miss).
+        fn filled_grid(dim: usize, seed: u64, fill_pct: u64, shape: u8, around: Site) -> SiteGrid {
+            let spec = MachineSpec { grid_dim: dim, ..MachineSpec::quera_aquila_256() };
+            let mut g = SiteGrid::new(&spec);
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let sites = dim * dim;
+            let lone = (next() % sites as u64) as usize;
+            let half = (next() % 4) as i32 + 1;
+            let disc_sq = (next() % 60) as i32;
+            for idx in 0..sites {
+                let site = ((idx % dim) as u16, (idx / dim) as u16);
+                let fill = match shape {
+                    0 => next() % 100 < fill_pct,
+                    1 => true,
+                    2 => idx != lone,
+                    3 => {
+                        (site.0 as i32 - around.0 as i32).abs() < half
+                            && (site.1 as i32 - around.1 as i32).abs() < half
+                    }
+                    _ => {
+                        let (dx, dy) =
+                            (site.0 as i32 - around.0 as i32, site.1 as i32 - around.1 as i32);
+                        dx * dx + dy * dy <= disc_sq
+                    }
+                };
+                if fill {
+                    g.occupy(site);
+                }
+            }
+            g
+        }
+
+        /// Target kinds: 0 anywhere, 1 a corner, 2 an edge, 3 off the grid.
+        fn pick_target(dim: usize, kind: u8, u: u16, v: u16) -> Site {
+            let last = dim as u16 - 1;
+            let (u, v) = (u % dim as u16, v % dim as u16);
+            match kind {
+                0 => (u, v),
+                1 => ([0, last][(u % 2) as usize], [0, last][(v % 2) as usize]),
+                2 => [(0, v), (last, v), (u, 0), (u, last)][((u ^ v) % 4) as usize],
+                _ => (last + 1 + u % 3, v),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The early-stopped BFS returns exactly the full walk's site
+            /// (or `None`) for every occupancy, target and tie pattern.
+            #[test]
+            fn on_random_grids(
+                dim in 1usize..65,
+                seed in 0u64..u64::MAX,
+                fill_pct in 0u64..101,
+                shape in 0u8..5,
+                target_kind in 0u8..4,
+                uv in (0u16..64, 0u16..64),
+            ) {
+                let target = pick_target(dim, target_kind, uv.0, uv.1);
+                let around = (target.0.min(dim as u16 - 1), target.1.min(dim as u16 - 1));
+                let g = filled_grid(dim, seed, fill_pct, shape, around);
+                prop_assert_eq!(
+                    g.nearest_free_site(target),
+                    g.nearest_free_site_naive(target),
+                    "dim {} target {:?}",
+                    dim,
+                    target
+                );
+            }
+        }
+
+        /// Every in-grid target of dense small grids, exhaustively.
+        #[test]
+        fn on_every_target_of_dense_small_grids() {
+            for dim in 1..=12 {
+                for seed in 1..=20u64 {
+                    let g = filled_grid(dim, seed, 85, 0, (0, 0));
+                    for x in 0..dim as u16 {
+                        for y in 0..dim as u16 {
+                            let t = (x, y);
+                            assert_eq!(g.nearest_free_site(t), g.nearest_free_site_naive(t));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

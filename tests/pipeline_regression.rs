@@ -122,3 +122,49 @@ fn stable_cache_keys_are_pinned() {
         assert_eq!(stable, parallax_qasm::fnv1a_64(bytes), "{bytes:?}");
     }
 }
+
+/// Golden `(schedule_digest, interaction_radius_um bits)` of the nine
+/// fleet-scale cold compiles `perfbench`'s `cold_scale` workload runs:
+/// each `scale_arms()` machine × jitter seeds 101/102/103 through
+/// `compile_with_layout`. Captured at commit `cea686a`, before the
+/// sub-quadratic discretize/radius/blockade-score kernels replaced their
+/// quadratic twins; these are the only pinned inputs where the
+/// nearest-free-site early stop and the radius's cell doubling do real
+/// work.
+const SCALE_GOLDEN: &[(usize, u64, u64, u64)] = &[
+    (1000, 101, 0x713621e9c1135bdd, 0x4023cc8a99af5453),
+    (1000, 102, 0x9016863649bfe763, 0x4023cc8a99af5453),
+    (1000, 103, 0xcab3d8cc711a1871, 0x4023cc8a99af5453),
+    (2000, 101, 0xba20de134ca0dcc1, 0x4023cc8a99af5453),
+    (2000, 102, 0xb714b50c532daddb, 0x4023cc8a99af5453),
+    (2000, 103, 0x6820b28e4a58d4dc, 0x4023cc8a99af5453),
+    (4000, 101, 0x360a085f8220e74a, 0x4023cc8a99af5453),
+    (4000, 102, 0x2a1052d8a5ccd1a1, 0x4023cc8a99af5453),
+    (4000, 103, 0x26ab3cea7ee83787, 0x4021f283081ec027),
+];
+
+#[test]
+fn scale_cold_compiles_match_golden_digests() {
+    let mut got = Vec::new();
+    for (machine, qubits) in parallax_bench::scale::scale_arms() {
+        let circuit = parallax_bench::scale::scale_circuit(qubits);
+        for seed in [101u64, 102, 103] {
+            let config = CompilerConfig {
+                seed,
+                placement: PlacementConfig::quick(seed),
+                ..Default::default()
+            };
+            let layout = parallax_bench::scale::scale_layout(qubits, seed);
+            let r = ParallaxCompiler::new(machine, config).compile_with_layout(&circuit, &layout);
+            got.push((
+                qubits,
+                seed,
+                parallax_service::schedule_digest(&r),
+                r.interaction_radius_um.to_bits(),
+            ));
+        }
+    }
+    let rows: Vec<String> =
+        got.iter().map(|(q, s, d, r)| format!("    ({q}, {s}, 0x{d:016x}, 0x{r:016x}),")).collect();
+    assert_eq!(got, SCALE_GOLDEN, "scale goldens moved; now:\n{}", rows.join("\n"));
+}

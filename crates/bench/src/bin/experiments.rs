@@ -18,8 +18,11 @@
 //! rebind time against a warm full compile. `scale` (also
 //! outside `all`) measures the post-placement cold pipeline at
 //! 1,000–4,000 qubits on Atom-1225 and the synthetic 2,048/4,096-site
-//! grids, `--samples` cold compiles per arm (default 3). Any other
-//! subcommand prints this usage to stderr and exits with status 2.
+//! grids, `--samples` cold compiles per arm (default 3), and splits each
+//! arm's mean into per-stage columns (discretize, AOD selection,
+//! schedule and its frontier/movement/blockade/return sub-stages; it
+//! turns `PARALLAX_PROFILE` on for the run). Any other subcommand prints
+//! this usage to stderr and exits with status 2.
 //!
 //! `--trace FILE` enables span tracing for the run and exports every
 //! recorded span as Chrome trace-event JSON (open in `chrome://tracing`

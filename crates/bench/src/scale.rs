@@ -12,6 +12,7 @@
 //! layout-cache key misses, and each sample pays the full cold path.
 
 use parallax_circuit::{Circuit, CircuitBuilder};
+use parallax_core::profile::{self, Stage};
 use parallax_core::{CompilationResult, CompilerConfig, ParallaxCompiler};
 use parallax_graphine::{GraphineLayout, PlacementConfig};
 use parallax_hardware::MachineSpec;
@@ -107,16 +108,42 @@ pub fn scale_cold_compile(
     (t0.elapsed().as_secs_f64() * 1e3, result)
 }
 
+/// The stages `experiments scale` splits each arm's mean into, in
+/// pipeline order: the post-placement stages and the scheduler's four
+/// sub-stages (which partition `schedule`).
+const SCALE_STAGES: [Stage; 7] = [
+    Stage::Discretize,
+    Stage::AodSelect,
+    Stage::Schedule,
+    Stage::ScheduleFrontier,
+    Stage::ScheduleMovement,
+    Stage::ScheduleBlockade,
+    Stage::ScheduleReturn,
+];
+
 /// `experiments scale` rows: per machine arm, `samples` cold compiles at
-/// distinct seeds. Wall-clock columns, so this mode stays outside `all`
+/// distinct seeds, with the mean per-compile time of each stage in
+/// `SCALE_STAGES`. Wall-clock columns, so this mode stays outside `all`
 /// (like `variational-sweep`); the shape columns are seed-stable.
+///
+/// The stage columns read the [`profile`] counters, so this switches
+/// profiling on for the process ([`profile::force_enable`]); if profiling
+/// was already latched off they print `-`.
 pub fn scale_rows(samples: usize, seed: u64) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let headers =
-        vec!["Machine", "Sites", "Qubits", "Samples", "Mean (ms)", "Min (ms)", "Layers", "Moves"];
+    profile::force_enable();
+    let profiled = profile::enabled();
+    let mut headers = vec!["Machine", "Sites", "Qubits", "Samples", "Mean (ms)", "Min (ms)"];
+    headers.extend(SCALE_STAGES.map(|stage| profile::STAGE_NAMES[stage as usize].trim_start()));
+    headers.extend(["Layers", "Moves"]);
+    let stage_us = || {
+        let snapshot = profile::snapshot();
+        SCALE_STAGES.map(|stage| snapshot[stage as usize].total_us)
+    };
     let mut data = Vec::new();
     for (machine, qubits) in scale_arms() {
         let mut times = Vec::with_capacity(samples);
         let (mut layers, mut moves) = (0usize, 0usize);
+        let before = stage_us();
         for s in 0..samples as u64 {
             let (ms, result) =
                 scale_cold_compile(machine, qubits, seed ^ s.wrapping_mul(0x9e37_79b9));
@@ -124,18 +151,26 @@ pub fn scale_rows(samples: usize, seed: u64) -> (Vec<&'static str>, Vec<Vec<Stri
             layers = result.schedule.layers.len();
             moves = result.schedule.stats.moves_planned;
         }
+        let after = stage_us();
         let mean = times.iter().sum::<f64>() / times.len().max(1) as f64;
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-        data.push(vec![
+        let mut row = vec![
             machine.name.to_string(),
             machine.num_sites().to_string(),
             qubits.to_string(),
             samples.to_string(),
             format!("{mean:.1}"),
             format!("{min:.1}"),
-            layers.to_string(),
-            moves.to_string(),
-        ]);
+        ];
+        row.extend(after.iter().zip(before).map(|(&a, b)| {
+            if profiled {
+                format!("{:.1}", (a - b) as f64 / 1e3 / samples.max(1) as f64)
+            } else {
+                "-".to_string()
+            }
+        }));
+        row.extend([layers.to_string(), moves.to_string()]);
+        data.push(row);
     }
     (headers, data)
 }

@@ -2,11 +2,11 @@
 
 use crate::aod_select::{select_aod_qubits, AodSelection};
 use crate::config::CompilerConfig;
-use crate::discretize::{discretize, DiscretizedLayout};
+use crate::discretize::{discretize, discretize_graph, DiscretizedLayout};
 use crate::profile::{self, Stage};
 use crate::scheduler::{schedule_gates, Schedule};
 use parallax_circuit::Circuit;
-use parallax_graphine::GraphineLayout;
+use parallax_graphine::{GraphineLayout, InteractionGraph};
 use parallax_hardware::{MachineSpec, Point};
 
 /// The output of a Parallax compilation.
@@ -128,9 +128,12 @@ impl ParallaxCompiler {
     /// bit-identical to fresh anneals, so results never depend on the
     /// cache's state.
     pub fn compile(&self, circuit: &Circuit) -> CompilationResult {
-        let layout =
-            crate::layout_cache::cached_layout(circuit, &self.machine, &self.config.placement);
-        self.compile_with_layout(circuit, &layout)
+        let (graph, layout) = crate::layout_cache::cached_layout_and_graph(
+            circuit,
+            &self.machine,
+            &self.config.placement,
+        );
+        self.compile_placed(circuit, Some(&graph), &layout)
     }
 
     /// Compile with a pre-computed GRAPHINE layout (mirrors the paper's CLI
@@ -140,6 +143,18 @@ impl ParallaxCompiler {
         circuit: &Circuit,
         layout: &GraphineLayout,
     ) -> CompilationResult {
+        self.compile_placed(circuit, None, layout)
+    }
+
+    /// Steps 2-4 after placement. `graph` is the circuit's interaction
+    /// graph when the caller already built it; otherwise discretization
+    /// builds it (inside its stage, where it is timed).
+    fn compile_placed(
+        &self,
+        circuit: &Circuit,
+        graph: Option<&InteractionGraph>,
+        layout: &GraphineLayout,
+    ) -> CompilationResult {
         // The root span lives here, not in `compile`, so every entry point
         // — full compiles, pre-placed bench runs, template structure
         // compiles — traces the same `compile → stage.*` tree. Placement
@@ -147,7 +162,10 @@ impl ParallaxCompiler {
         // in `compile` and records as a sibling root of the same trace.
         let _root = parallax_trace::span!("compile");
         let t = profile::stage(Stage::Discretize);
-        let mut disc: DiscretizedLayout = discretize(circuit, layout, self.machine);
+        let mut disc: DiscretizedLayout = match graph {
+            Some(graph) => discretize_graph(graph, layout, self.machine),
+            None => discretize(circuit, layout, self.machine),
+        };
         drop(t);
         let t = profile::stage(Stage::AodSelect);
         let aod_selection = select_aod_qubits(circuit, &mut disc, &self.config);

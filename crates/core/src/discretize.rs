@@ -31,11 +31,21 @@ pub fn discretize(
     layout: &GraphineLayout,
     spec: MachineSpec,
 ) -> DiscretizedLayout {
-    let n = circuit.num_qubits();
+    discretize_graph(&InteractionGraph::from_circuit(circuit), layout, spec)
+}
+
+/// [`discretize`] from the circuit's interaction graph, for callers that
+/// already built it (a full compile builds it once, to key the layout
+/// cache, and hands it on here).
+pub(crate) fn discretize_graph(
+    graph: &InteractionGraph,
+    layout: &GraphineLayout,
+    spec: MachineSpec,
+) -> DiscretizedLayout {
+    let n = graph.num_qubits;
     assert_eq!(layout.positions.len(), n, "layout/circuit qubit-count mismatch");
     let mut array = AtomArray::new(spec, n);
 
-    let graph = InteractionGraph::from_circuit(circuit);
     let adj = graph.csr();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by(|&a, &b| {

@@ -167,18 +167,28 @@ pub fn lookup_or_generate(
 }
 
 /// [`lookup_or_generate`] starting from a circuit, with the placement
-/// stage profiled — the entry point `ParallaxCompiler::compile` and the
-/// bench harness share.
+/// stage profiled — the bench harness's entry point.
 pub fn cached_layout(
     circuit: &parallax_circuit::Circuit,
     machine: &MachineSpec,
     placement: &PlacementConfig,
 ) -> GraphineLayout {
+    cached_layout_and_graph(circuit, machine, placement).1
+}
+
+/// [`cached_layout`], also returning the interaction graph that keyed the
+/// lookup, so `ParallaxCompiler::compile` discretizes from the same graph
+/// instead of building it a second time.
+pub(crate) fn cached_layout_and_graph(
+    circuit: &parallax_circuit::Circuit,
+    machine: &MachineSpec,
+    placement: &PlacementConfig,
+) -> (InteractionGraph, GraphineLayout) {
     let mut t = profile::stage(Stage::Placement);
     let graph = InteractionGraph::from_circuit(circuit);
     let (layout, hit) = lookup_or_generate(&graph, machine, placement);
     t.set_allocs(if hit { 0 } else { layout.anneal_allocs as u64 });
-    layout
+    (graph, layout)
 }
 
 /// Snapshot of the process-wide layout cache counters.

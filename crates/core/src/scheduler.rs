@@ -16,7 +16,7 @@
 //! # The hot path
 //!
 //! On large circuits the scheduler dominates warm-cache compiles, so its
-//! per-layer loop is engineered around four structures, each bit-identical
+//! per-layer loop is engineered around five structures, each bit-identical
 //! to the straightforward implementation it replaces (`schedule_gates_naive`
 //! is kept under `#[cfg(any(test, debug_assertions))]` as the oracle, and
 //! proptests diff the two on random circuits):
@@ -25,6 +25,12 @@
 //!   the qubits whose gate pointer advanced in the previous layer instead
 //!   of rescanning every qubit, and emits gates in the same
 //!   ascending-qubit order by construction;
+//! * a **per-gate trap-change stamp** — each gate's trap change of the
+//!   current layer is a `(layer stamp, moved qubit)` pair (8 bytes per
+//!   gate), so the range re-check, the effective-position lookup and the
+//!   undo on blockade ejection are O(1) instead of linear searches of the
+//!   layer's trap-change list (those searches were over half of the
+//!   blockade sub-stage on the 1000–4000-qubit scale arms);
 //! * a **bucketed blockade pass** — accepted CZ endpoints go into a
 //!   uniform grid with blockade-diameter cells, so each candidate gate is
 //!   tested only against endpoints in the neighbouring cells instead of
@@ -504,6 +510,16 @@ enum LayerPolicy {
     MultiMover(Box<MultiMover>),
 }
 
+/// The layer's surviving trap changes as `(gate, moved qubit)`, in
+/// frontier order (the order they were made), for diagnostics.
+fn layer_trap_changes(
+    curr: &[usize],
+    trap_changed: &[(u32, u32)],
+    stamp: u32,
+) -> Vec<(usize, u32)> {
+    curr.iter().filter(|&&g| trap_changed[g].0 == stamp).map(|&g| (g, trap_changed[g].1)).collect()
+}
+
 /// Run Algorithm 1. Mutates `layout.array` (atom motion and trap state).
 ///
 /// One layer loop serves both [`CompilerConfig::scheduling`] modes: the
@@ -551,13 +567,15 @@ pub fn schedule_gates(
     let mut curr = Vec::new();
     let mut kept = Vec::new();
     let mut accepted = Vec::new();
-    // Gates that executed via trap change: (gate, virtually moved qubit).
-    let mut trap_changed: Vec<(usize, u32)> = Vec::new();
     let mut advanced = Vec::new();
-    // Effective operand positions keyed by gate index, valid when the
-    // stamp matches the current layer (an index-keyed `HashMap` stand-in).
+    // Per-gate layer state, live when its stamp matches the current layer
+    // (index-keyed stand-ins for a per-layer `HashMap` or list): the
+    // effective operand positions of the blockade pass, and the layer's
+    // trap change as `(stamp, virtually moved qubit)`. Stamps start at 1,
+    // so stamp 0 marks "none" (an ejected trap change is reset to it).
     let mut eff_pos = vec![[Point::default(); 2]; num_gates];
-    let mut eff_stamp = vec![0u64; num_gates];
+    let mut eff_stamp = vec![0u32; num_gates];
+    let mut trap_changed = vec![(0u32, 0u32); num_gates];
     let mut blockade = BlockadeIndex::new(
         layout.array.spec().extent_um(),
         layout.array.grid().pitch_um(),
@@ -572,7 +590,7 @@ pub fn schedule_gates(
     // per-layer home list.
     let mut home_pos = vec![Point::default(); num_qubits];
     let mut moved_list: Vec<u32> = Vec::new();
-    let mut moved_stamp = vec![0u64; num_qubits];
+    let mut moved_stamp = vec![0u32; num_qubits];
     let mut return_moves = Vec::new();
 
     let mut guard = 0usize;
@@ -580,7 +598,7 @@ pub fn schedule_gates(
     while executed_count < num_gates {
         guard += 1;
         assert!(guard <= cap, "scheduler livelock: {executed_count}/{num_gates} gates executed");
-        let stamp = guard as u64;
+        let stamp = u32::try_from(guard).expect("layer stamps fit in u32");
 
         // ---- Lines 7-11: build the dependency frontier layer. ----
         let t = profile::stage(Stage::ScheduleFrontier);
@@ -597,7 +615,6 @@ pub fn schedule_gates(
         let mut mover_plans: Vec<u32> = Vec::new();
         let mut move_distance_um = 0.0f64;
         let mut trap_changes = 0usize;
-        trap_changed.clear();
         kept.clear();
         for &g in &curr {
             let Gate::Cz { a, b } = gates[g] else {
@@ -616,7 +633,7 @@ pub fn schedule_gates(
                 // Lines 18-19: neither operand is mobile — release and
                 // retrap one of them (the ~1.3% case).
                 trap_changes += 1;
-                trap_changed.push((g, a));
+                trap_changed[g] = (stamp, a);
                 kept.push(g);
                 continue;
             };
@@ -638,7 +655,7 @@ pub fn schedule_gates(
                 // "Failed moves are resolved using trap changes").
                 stats.failed_moves += 1;
                 trap_changes += 1;
-                trap_changed.push((g, mover));
+                trap_changed[g] = (stamp, mover);
                 kept.push(g);
                 continue;
             };
@@ -675,8 +692,8 @@ pub fn schedule_gates(
         if !mover_plans.is_empty() {
             kept.retain(|&g| match gates[g] {
                 Gate::Cz { a, b } => {
-                    let in_range = layout.array.distance(a, b) <= r + 1e-9
-                        || trap_changed.iter().any(|&(tg, _)| tg == g);
+                    let in_range =
+                        layout.array.distance(a, b) <= r + 1e-9 || trap_changed[g].0 == stamp;
                     if !in_range {
                         stats.deferred_gates += 1;
                     }
@@ -704,7 +721,8 @@ pub fn schedule_gates(
             if let Gate::Cz { a, b } = gates[g] {
                 let mut pa = layout.array.position(a);
                 let mut pb = layout.array.position(b);
-                if let Some(&(_, moved)) = trap_changed.iter().find(|&&(tg, _)| tg == g) {
+                let (tc_stamp, moved) = trap_changed[g];
+                if tc_stamp == stamp {
                     if moved == a {
                         pa = pb;
                     } else if moved == b {
@@ -727,8 +745,8 @@ pub fn schedule_gates(
                         stats.blockade_ejections += 1;
                         // If this was a trap-changed gate, the trap change
                         // did not happen after all.
-                        if let Some(pos) = trap_changed.iter().position(|&(tg, _)| tg == g) {
-                            trap_changed.remove(pos);
+                        if trap_changed[g].0 == stamp {
+                            trap_changed[g].0 = 0;
                             trap_changes -= 1;
                         }
                     } else {
@@ -743,8 +761,9 @@ pub fn schedule_gates(
         drop(t);
         assert!(
             !accepted.is_empty(),
-            "blockade pass emptied a layer: curr={curr:?} kept={kept:?} movers={} trap_changed={trap_changed:?}",
-            mover_plans.len()
+            "blockade pass emptied a layer: curr={curr:?} kept={kept:?} movers={} trap_changed={:?}",
+            mover_plans.len(),
+            layer_trap_changes(&curr, &trap_changed, stamp)
         );
 
         // ---- Line 23: execute. ----
@@ -1288,9 +1307,21 @@ mod tests {
         let layout = GraphineLayout::generate(&c, &cfg.placement);
         let mut fast = discretize(&c, &layout, MachineSpec::quera_aquila_256());
         let sel = select_aod_qubits(&c, &mut fast, cfg);
+        assert_layout_matches_naive(&c, fast, &sel, cfg);
+    }
+
+    /// [`assert_matches_naive`] from a prepared layout; returns the fast
+    /// schedule for scenario-specific checks.
+    fn assert_layout_matches_naive(
+        c: &Circuit,
+        mut fast: DiscretizedLayout,
+        sel: &AodSelection,
+        cfg: &CompilerConfig,
+    ) -> Schedule {
+        let n = c.num_qubits();
         let mut naive = fast.clone();
-        let s_fast = schedule_gates(&c, &mut fast, &sel, cfg);
-        let s_naive = schedule_gates_naive(&c, &mut naive, &sel, cfg);
+        let s_fast = schedule_gates(c, &mut fast, sel, cfg);
+        let s_naive = schedule_gates_naive(c, &mut naive, sel, cfg);
         assert_eq!(s_fast.layers, s_naive.layers);
         let mut stats = s_fast.stats.clone();
         stats.failed_move_memo_hits = 0;
@@ -1302,6 +1333,7 @@ mod tests {
             assert_eq!(fast.array.position(q), naive.array.position(q), "q{q} position");
             assert_eq!(fast.array.trap(q), naive.array.trap(q), "q{q} trap");
         }
+        s_fast
     }
 
     #[test]
@@ -1357,6 +1389,65 @@ mod tests {
             },
             &cfg,
         );
+    }
+
+    #[test]
+    fn matches_naive_when_most_gates_trap_change() {
+        // A hand-built scene: 40 atoms two sites apart in x and three in y
+        // (14 µm and 21 µm, beyond the 7.5 µm interaction radius), so no
+        // CZ starts in range. Four diagonal atoms are in the AOD; every CZ
+        // between two other atoms is static–static and trap-changes (and
+        // a failed move trap-changes too). A trap-changed gate's
+        // effective endpoints both sit at its partner, 14 µm from the next
+        // column's, inside the 18.75 µm blockade reach: many trap changes
+        // per layer are ejected again (the undo path), and layers with a
+        // committed move re-check the surviving trap changes in range.
+        let n = 40u32;
+        let mut array = AtomArray::new(MachineSpec::quera_aquila_256(), n as usize);
+        for q in 0..n {
+            array.place_in_slm(q, ((q % 8 * 2) as u16, (q / 8 * 3) as u16));
+        }
+        let selected = vec![0, 9, 18, 27];
+        for (line, &q) in selected.iter().enumerate() {
+            array.transfer_to_aod(q, line as u16, line as u16).unwrap();
+        }
+        let layout = DiscretizedLayout { array, interaction_radius_um: 7.5 };
+        let sel = AodSelection { selected, dropped: Vec::new(), scores: vec![0.0; n as usize] };
+        let mut b = CircuitBuilder::new(n as usize);
+        for shift in [20, 13, 7, 29] {
+            for q in 0..n {
+                let p = (q + shift) % n;
+                if q < p {
+                    b.cz(q, p);
+                }
+            }
+            b.h(shift % n);
+        }
+        let c = b.build();
+        for seed in 0..4 {
+            let s =
+                assert_layout_matches_naive(&c, layout.clone(), &sel, &CompilerConfig::quick(seed));
+            let widest = s.layers.iter().map(|l| l.trap_changes).max().unwrap_or(0);
+            assert!(widest >= 5, "layers must carry many trap changes: widest {widest}");
+            assert!(s.stats.blockade_ejections > 0, "some trap changes must be ejected");
+            assert!(s.stats.moves_planned > 0, "some layers must commit a move");
+            assert!(
+                s.stats.trap_changes * 2 > s.stats.cz_count,
+                "most CZs must trap-change: {:?}",
+                s.stats
+            );
+        }
+    }
+
+    #[test]
+    fn empty_layer_panic_lists_the_layer_trap_changes() {
+        let curr = [4, 7, 2, 9];
+        let mut trap_changed = vec![(0u32, 0u32); 10];
+        trap_changed[7] = (3, 5);
+        trap_changed[2] = (3, 1);
+        trap_changed[9] = (2, 8); // an earlier layer's trap change
+        trap_changed[4] = (0, 6); // ejected this layer
+        assert_eq!(layer_trap_changes(&curr, &trap_changed, 3), vec![(7, 5), (2, 1)]);
     }
 
     // -- Move memo unit tests --

@@ -534,42 +534,39 @@ impl AtomArray {
     /// The hypothetical configuration is an *overlay* (small vectors of
     /// moved qubits/lines consulted before the committed state) rather
     /// than a clone of the full array, so a scan that exits early does
-    /// O(moves) setup work instead of O(atoms).
+    /// O(moves) setup work instead of O(atoms). The overlay is sorted once
+    /// (by qubit id, and each line list by index), so every lookup is a
+    /// binary search or a merge step (`docs/DATA_LAYOUT.md`).
     fn scan_aod_moves(&self, moves: &[AodMove], mut emit: impl FnMut(Violation) -> bool) {
-        // Overlay of the final configuration; later moves of the same
-        // qubit/line overwrite earlier ones, as a sequential commit would.
-        let mut moved: Vec<(u32, Point)> = Vec::with_capacity(moves.len());
-        let mut row_over: Vec<(u16, f64)> = Vec::with_capacity(moves.len());
-        let mut col_over: Vec<(u16, f64)> = Vec::with_capacity(moves.len());
-        fn upsert<K: PartialEq, V>(list: &mut Vec<(K, V)>, key: K, value: V) {
-            match list.iter_mut().find(|(k, _)| *k == key) {
-                Some(entry) => entry.1 = value,
-                None => list.push((key, value)),
-            }
-        }
         for m in moves {
-            match self.trap_of(m.q as usize) {
-                Some(Trap::Aod { row, col }) => {
-                    upsert(&mut moved, m.q, Point::new(m.x, m.y));
-                    upsert(&mut row_over, row, m.y);
-                    upsert(&mut col_over, col, m.x);
-                }
-                other => panic!("qubit {} is not AOD-trapped (trap = {other:?})", m.q),
+            if !self.is_aod(m.q) {
+                let trap = self.trap_of(m.q as usize);
+                panic!("qubit {} is not AOD-trapped (trap = {trap:?})", m.q);
             }
         }
-        let pos_of = |q: usize| -> Point {
-            moved
-                .iter()
-                .find(|&&(mq, _)| mq as usize == q)
-                .map(|&(_, p)| p)
-                .unwrap_or(self.positions[q])
-        };
+        // Overlay of the final configuration, ascending qubit id. A later
+        // move of the same qubit overwrites an earlier one, as a sequential
+        // commit would: pushed in reverse and stable-sorted, each qubit's
+        // last move heads its run, and `dedup` keeps the head.
+        let mut moved: Vec<(u32, Point)> = Vec::with_capacity(moves.len());
+        moved.extend(moves.iter().rev().map(|m| (m.q, Point::new(m.x, m.y))));
+        moved.sort_by_key(|&(q, _)| q);
+        moved.dedup_by_key(|&mut (q, _)| q);
+        // Each AOD atom owns its own row and column, so the overlay's lines
+        // are as distinct as its qubits: rows, then columns, in one buffer.
+        let mut lines: Vec<(u16, f64)> = Vec::with_capacity(2 * moved.len());
+        lines.extend(moved.iter().map(|&(q, p)| (self.trap_a[q as usize] as u16, p.y)));
+        lines.extend(moved.iter().map(|&(q, p)| (self.trap_b[q as usize] as u16, p.x)));
+        let (row_over, col_over) = lines.split_at_mut(moved.len());
+        row_over.sort_unstable_by_key(|&(line, _)| line);
+        col_over.sort_unstable_by_key(|&(line, _)| line);
+        let moved_at = |q: u32| moved.binary_search_by_key(&q, |&(mq, _)| mq);
 
         // Bounds: atoms must stay within one pitch of the site grid.
         let margin = self.grid.pitch_um();
         let max = self.spec.extent_um() + margin;
         for m in moves {
-            let p = pos_of(m.q as usize);
+            let p = moved[moved_at(m.q).expect("every mover is in the overlay")].1;
             if (p.x < -margin || p.y < -margin || p.x > max || p.y > max)
                 && !emit(Violation::OutOfBounds { q: m.q })
             {
@@ -578,79 +575,47 @@ impl AtomArray {
         }
         // Row/column ordering with the minimum line gap.
         let gap = self.line_gap();
-        let mut prev: Option<(u16, f64)> = None;
-        for (i, &owner) in self.row_owner.iter().enumerate() {
-            if owner == NO_OWNER {
-                continue;
-            }
-            let y = row_over
-                .iter()
-                .find(|&&(r, _)| r as usize == i)
-                .map(|&(_, y)| y)
-                .unwrap_or(self.row_y[i]);
-            if let Some((pi, py)) = prev {
-                if y - py < gap - 1e-9
-                    && !emit(Violation::RowOrdering { row_a: pi, row_b: i as u16 })
-                {
-                    return;
-                }
-            }
-            prev = Some((i as u16, y));
-        }
-        let mut prev: Option<(u16, f64)> = None;
-        for (i, &owner) in self.col_owner.iter().enumerate() {
-            if owner == NO_OWNER {
-                continue;
-            }
-            let x = col_over
-                .iter()
-                .find(|&&(c, _)| c as usize == i)
-                .map(|&(_, x)| x)
-                .unwrap_or(self.col_x[i]);
-            if let Some((pi, px)) = prev {
-                if x - px < gap - 1e-9
-                    && !emit(Violation::ColOrdering { col_a: pi, col_b: i as u16 })
-                {
-                    return;
-                }
-            }
-            prev = Some((i as u16, x));
+        let rows_ok = walk_lines(&self.row_owner, &self.row_y, row_over, gap, |row_a, row_b| {
+            emit(Violation::RowOrdering { row_a, row_b })
+        });
+        if !rows_ok
+            || !walk_lines(&self.col_owner, &self.col_x, col_over, gap, |col_a, col_b| {
+                emit(Violation::ColOrdering { col_a, col_b })
+            })
+        {
+            return;
         }
         // Pairwise separation: every moved atom against every placed atom.
         // Candidates within the separation distance come from the spatial
         // occupancy index (committed positions); other *moved* atoms are
         // excluded there — their indexed positions are stale — and checked
-        // against the overlay instead. Merging both sets in ascending
-        // qubit-id order reproduces the naive full sweep's emission order
-        // exactly, so the first violation (which steers every recursive
-        // move plan) is identical by construction.
+        // against the overlay instead, each moved pair once, by its
+        // higher-id member. Each candidate carries its position. Only
+        // violators emit and candidate ids are unique, so dropping the
+        // rest before the sort leaves the emission sequence unchanged:
+        // ascending qubit id, exactly the naive full sweep's order, so the
+        // first violation (which steers every recursive move plan) is
+        // identical by construction.
         let min_sep = self.spec.min_separation_um;
-        let mut candidates: Vec<u32> = Vec::with_capacity(8);
+        // Violators only, so this rarely allocates.
+        let mut candidates: Vec<(u32, Point)> = Vec::new();
         for m in moves {
-            let p = pos_of(m.q as usize);
+            let p = moved[moved_at(m.q).expect("every mover is in the overlay")].1;
             candidates.clear();
             self.index.for_each_within(p, min_sep, |other| {
-                if other != m.q && !moved.iter().any(|&(mq, _)| mq == other) {
-                    candidates.push(other);
+                let po = self.positions[other as usize];
+                if violates_separation(&p, &po, min_sep) && moved_at(other).is_err() {
+                    candidates.push((other, po));
                 }
             });
-            for &(other, _) in &moved {
-                // Skip duplicate reporting for pairs of moved atoms (the
-                // lower-id member of the pair reports).
-                if other < m.q {
-                    candidates.push(other);
+            for &(other, po) in moved.iter().take_while(|&&(other, _)| other < m.q) {
+                if violates_separation(&p, &po, min_sep) {
+                    candidates.push((other, po));
                 }
             }
-            candidates.sort_unstable();
-            for &other in &candidates {
-                let po = pos_of(other as usize);
-                if violates_separation(&p, &po, min_sep)
-                    && !emit(Violation::Separation {
-                        q1: m.q,
-                        q2: other,
-                        distance: p.distance(&po),
-                    })
-                {
+            candidates.sort_unstable_by_key(|&(other, _)| other);
+            for &(other, po) in &candidates {
+                if !emit(Violation::Separation { q1: m.q, q2: other, distance: p.distance(&po) }) {
                     return;
                 }
             }
@@ -861,6 +826,38 @@ impl AtomArray {
         }
         None
     }
+}
+
+/// Walk one axis's owned AOD lines in index order, each at its overlay
+/// coordinate when `over` (sorted by line, owned lines only) moves it and
+/// at its committed coordinate otherwise, and report every adjacent pair
+/// closer than `gap` as `(lower, higher)` line index. `report` returns
+/// `false` to stop the walk; so does this function.
+fn walk_lines(
+    owner: &[u32],
+    coord: &[f64],
+    over: &[(u16, f64)],
+    gap: f64,
+    mut report: impl FnMut(u16, u16) -> bool,
+) -> bool {
+    let mut over = over.iter().peekable();
+    let mut prev: Option<(u16, f64)> = None;
+    for (i, &o) in owner.iter().enumerate() {
+        if o == NO_OWNER {
+            continue;
+        }
+        let c = match over.next_if(|&&(line, _)| line as usize == i) {
+            Some(&(_, c)) => c,
+            None => coord[i],
+        };
+        if let Some((pi, pc)) = prev {
+            if c - pc < gap - 1e-9 && !report(pi, i as u16) {
+                return false;
+            }
+        }
+        prev = Some((i as u16, c));
+    }
+    true
 }
 
 #[cfg(test)]
@@ -1204,6 +1201,60 @@ mod tests {
                 prop_assert_eq!(&a.check_aod_moves(&moves), &naive);
                 prop_assert_eq!(a.first_aod_move_violation(&moves), naive.first().copied());
             }
+
+            /// Planner-sized batches: 17–64 moves over 35 AOD atoms, so
+            /// qubits (and with them their rows and columns) repeat within
+            /// a batch, with every endpoint clustered around some atom.
+            /// This is where the sorted overlay, its line merges and the
+            /// duplicate-move resolution do real work.
+            #[test]
+            fn on_large_move_batches(
+                batch in proptest::collection::vec(
+                    (0..LARGE_AOD, 0..LARGE_AOD + LARGE_STATIC, -4.0f64..4.0, -4.0f64..4.0),
+                    17..65,
+                )
+            ) {
+                let a = large_array();
+                let moves: Vec<AodMove> = batch
+                    .into_iter()
+                    .map(|(q, victim, dx, dy)| {
+                        let target = a.position(victim);
+                        AodMove { q, x: target.x + dx, y: target.y + dy }
+                    })
+                    .collect();
+                let naive = a.check_aod_moves_naive(&moves);
+                prop_assert_eq!(&a.check_aod_moves(&moves), &naive);
+                prop_assert_eq!(a.first_aod_move_violation(&moves), naive.first().copied());
+            }
+        }
+
+        const LARGE_AOD: u32 = 35;
+        const LARGE_STATIC: u32 = 64;
+
+        /// Atom-1225 with 35 AOD lines per axis: AOD atom `q` sits at site
+        /// `(q, 12q mod 35)` (a permutation, so it owns column `q` and row
+        /// `12q mod 35` in coordinate order), and 64 static atoms fill
+        /// free sites between them.
+        fn large_array() -> AtomArray {
+            let spec = MachineSpec::atom_1225().with_aod_dim(35);
+            let mut a = AtomArray::new(spec, (LARGE_AOD + LARGE_STATIC) as usize);
+            let row_of = |q: u32| (12 * q % 35) as u16;
+            for q in 0..LARGE_AOD {
+                a.place_in_slm(q, (q as u16, row_of(q)));
+            }
+            let free: Vec<(u16, u16)> = (0..35u16)
+                .flat_map(|y| (0..35u16).map(move |x| (x, y)))
+                .filter(|&(x, y)| (x + 2 * y) % 17 == 0 && row_of(u32::from(x)) != y)
+                .take(LARGE_STATIC as usize)
+                .collect();
+            assert_eq!(free.len(), LARGE_STATIC as usize);
+            for (q, site) in (LARGE_AOD..).zip(free) {
+                a.place_in_slm(q, site);
+            }
+            for q in 0..LARGE_AOD {
+                a.transfer_to_aod(q, row_of(q), q as u16).unwrap();
+            }
+            a
         }
     }
 }

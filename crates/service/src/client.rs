@@ -8,6 +8,7 @@ use crate::json::{self, Json};
 use crate::protocol::{encode_request, CacheOp, Request, SubmitRequest, SweepRequest};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -99,7 +100,22 @@ pub struct ServiceClient {
 impl ServiceClient {
     /// Connect to `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
+        Self::over(TcpStream::connect(addr)?)
+    }
+
+    /// Connect to the first address `addr` resolves to, giving up after
+    /// `timeout`.
+    pub(crate) fn connect_timeout(
+        addr: impl ToSocketAddrs,
+        timeout: Duration,
+    ) -> std::io::Result<Self> {
+        let first = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no address resolved")
+        })?;
+        Self::over(TcpStream::connect_timeout(&first, timeout)?)
+    }
+
+    fn over(stream: TcpStream) -> std::io::Result<Self> {
         // Tiny request/response messages: disable Nagle so each line goes
         // out immediately instead of waiting on delayed ACKs.
         stream.set_nodelay(true)?;
@@ -114,22 +130,48 @@ impl ServiceClient {
 
     /// Send a raw wire line (must be one line) and parse the response.
     pub fn roundtrip_line(&mut self, line: &str) -> Result<Json, ClientError> {
+        self.send_line(line)?;
+        self.read_response_line()
+    }
+
+    /// Send a raw wire line (must be one line) and return the response line
+    /// unparsed, terminator stripped — for relaying its bytes verbatim.
+    pub(crate) fn exchange_raw(&mut self, line: &str) -> std::io::Result<String> {
+        self.send_line(line)?;
+        self.read_raw_line()
+    }
+
+    fn send_line(&mut self, line: &str) -> std::io::Result<()> {
         let mut framed = String::with_capacity(line.len() + 1);
         framed.push_str(line);
         framed.push('\n');
-        self.writer.write_all(framed.as_bytes())?;
-        self.read_response_line()
+        self.writer.write_all(framed.as_bytes())
+    }
+
+    /// Read one response line off the stream unparsed, terminator stripped
+    /// (e.g. a sweep point line following its header). A closed
+    /// connection is an `UnexpectedEof` error.
+    pub(crate) fn read_raw_line(&mut self) -> std::io::Result<String> {
+        let mut response = String::new();
+        if self.reader.read_line(&mut response)? == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ));
+        }
+        while response.ends_with('\n') || response.ends_with('\r') {
+            response.pop();
+        }
+        Ok(response)
     }
 
     /// Read and validate one `{"ok":...}` response line off the stream.
     fn read_response_line(&mut self) -> Result<Json, ClientError> {
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(ClientError::Protocol("server closed the connection".into()));
-        }
-        let v =
-            json::parse(response.trim_end()).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        let response = self.read_raw_line().map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => ClientError::Protocol(e.to_string()),
+            _ => ClientError::Io(e),
+        })?;
+        let v = json::parse(&response).map_err(|e| ClientError::Protocol(e.to_string()))?;
         match v.get("ok").and_then(Json::as_bool) {
             Some(true) => Ok(v),
             Some(false) => Err(ClientError::Server(

@@ -28,6 +28,9 @@
 //!   full` error after `enqueue_timeout_ms`, never silently dropped.
 //! * Shutdown drains: accepted jobs all complete and reply before the
 //!   `SHUTDOWN` response is sent ([`server`]).
+//! * The shard ([`server`]) and the fabric router ([`router`]) run on one
+//!   connection layer ([`listener`]): the accept loop, capped line
+//!   framing, one write per response, and the handle that stops them.
 //! * `STATS` reports job counters, queue depth, cache hit rate, and a
 //!   log-bucket latency histogram ([`metrics`]).
 //! * `METRICS` serves the unified observability registry (service
@@ -82,6 +85,7 @@ pub mod cache;
 pub mod client;
 pub mod disk;
 pub mod json;
+pub mod listener;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;

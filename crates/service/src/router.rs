@@ -24,15 +24,14 @@
 //! `PING`/`STATS`/`METRICS` answer locally (the router's own
 //! `parallax_router_*` counters live in the process-wide registry).
 
+use crate::client::ServiceClient;
 use crate::json::{self, Json};
-use crate::protocol::{encode_request, error_response, parse_request, Request};
-use crate::server::{read_frame_capped, FrameRead};
+use crate::listener::{self, span_trees, trace_response, Handle, Tier};
+use crate::protocol::{encode_request, error_response, parse_request, Request, SubmitRequest};
 use parallax_trace::Counter;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::net::TcpListener;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Router tuning knobs.
@@ -46,8 +45,6 @@ pub struct RouterConfig {
     /// Virtual nodes per shard on the hash ring. More vnodes smooth the
     /// keyspace split at the cost of a larger ring table.
     pub vnodes: usize,
-    /// Hard cap on one request line's length, bytes (mirrors the shard's).
-    pub max_line_bytes: usize,
     /// Per-shard connect timeout.
     pub connect_timeout_ms: u64,
 }
@@ -58,7 +55,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             shards: Vec::new(),
             vnodes: 64,
-            max_line_bytes: 8 * 1024 * 1024,
             connect_timeout_ms: 2000,
         }
     }
@@ -157,58 +153,30 @@ struct RouterCore {
     shards: Vec<String>,
     ring: HashRing,
     metrics: RouterMetrics,
-    addr: SocketAddr,
-    exiting: AtomicBool,
-    max_line_bytes: usize,
     connect_timeout: Duration,
     started: Instant,
-    exit_requested: Mutex<bool>,
-    exit: Condvar,
+}
+
+impl Tier for RouterCore {
+    const NAME: &'static str = "parallax-route";
+    type Conn = ShardPool;
+
+    fn open(&self) -> ShardPool {
+        ShardPool { conns: (0..self.shards.len()).map(|_| None).collect() }
+    }
+
+    fn respond(&self, line: &str, pool: &mut ShardPool) -> (String, bool) {
+        route_request(line, self, pool)
+    }
+
+    fn count_rejected_frame(&self) {
+        self.metrics.local.inc();
+    }
 }
 
 /// A running router. Dropping the handle stops its accept loop (the
 /// shards it fronts are owned elsewhere and keep running).
-pub struct RouterHandle {
-    core: Arc<RouterCore>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address (with the resolved ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.core.addr
-    }
-
-    /// Stop accepting connections and join the accept loop. Never touches
-    /// the shards — a client-initiated `SHUTDOWN` is what drains the
-    /// fabric. Idempotent.
-    pub fn shutdown(&mut self) {
-        self.core.exiting.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.core.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Block until some client's `SHUTDOWN` has fanned out to the shards
-    /// and its acknowledgement is on the wire, then stop — the route
-    /// daemon's main loop.
-    pub fn wait_until_drained(&mut self) {
-        {
-            let mut requested = self.core.exit_requested.lock().expect("exit lock");
-            while !*requested {
-                requested = self.core.exit.wait(requested).expect("exit lock");
-            }
-        }
-        self.shutdown();
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+pub type RouterHandle = Handle;
 
 /// Start a router per `config`; returns once the listener is bound. Shards
 /// are dialed lazily per client connection, so they may come up later.
@@ -220,127 +188,52 @@ pub fn start_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
         ));
     }
     let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let core = Arc::new(RouterCore {
+    let core = RouterCore {
         ring: HashRing::new(config.shards.len(), config.vnodes),
         metrics: RouterMetrics::new(config.shards.len()),
         shards: config.shards,
-        addr,
-        exiting: AtomicBool::new(false),
-        max_line_bytes: config.max_line_bytes.max(1),
         connect_timeout: Duration::from_millis(config.connect_timeout_ms.max(1)),
         started: Instant::now(),
-        exit_requested: Mutex::new(false),
-        exit: Condvar::new(),
-    });
-    let accept_core = core.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name("parallax-route-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_core))?;
-    Ok(RouterHandle { core, accept_thread: Some(accept_thread) })
+    };
+    listener::serve(listener, Arc::new(core), listener::DEFAULT_MAX_LINE_BYTES)
 }
 
-fn accept_loop(listener: &TcpListener, core: &Arc<RouterCore>) {
-    for stream in listener.incoming() {
-        if core.exiting.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let core = core.clone();
-        let _ = std::thread::Builder::new()
-            .name("parallax-route-conn".to_string())
-            .spawn(move || handle_client(stream, &core));
-    }
-}
-
-/// One pooled connection from this client's handler thread to a shard.
-/// Each client connection owns its own pool, so shard links are never
-/// shared across client threads and responses can't interleave.
-struct ShardConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl ShardConn {
-    fn connect(addr: &str, timeout: Duration) -> std::io::Result<Self> {
-        let resolved: Vec<SocketAddr> = std::net::ToSocketAddrs::to_socket_addrs(addr)?.collect();
-        let first = resolved.first().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no address resolved")
-        })?;
-        let stream = TcpStream::connect_timeout(first, timeout)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { reader, writer: stream })
-    }
-
-    /// Send one wire line, read one response line.
-    fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        let mut framed = String::with_capacity(line.len() + 1);
-        framed.push_str(line);
-        framed.push('\n');
-        self.writer.write_all(framed.as_bytes())?;
-        self.read_line()
-    }
-
-    fn read_line(&mut self) -> std::io::Result<String> {
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "shard closed the connection",
-            ));
-        }
-        while response.ends_with('\n') || response.ends_with('\r') {
-            response.pop();
-        }
-        Ok(response)
-    }
-}
-
-/// The per-client pool of shard connections, dialed lazily.
+/// One client connection's links to the shards, dialed lazily. Each client
+/// connection owns its own pool, so shard links are never shared across
+/// client threads and responses can't interleave.
 struct ShardPool {
-    conns: Vec<Option<ShardConn>>,
+    conns: Vec<Option<ServiceClient>>,
 }
 
 impl ShardPool {
-    fn new(shards: usize) -> Self {
-        Self { conns: (0..shards).map(|_| None).collect() }
-    }
-
     /// One request/response exchange with shard `idx`. A transport failure
     /// drops the pooled connection and retries once on a fresh dial — a
     /// shard that restarted (the disk-tier warm-restart flow) is picked
     /// back up transparently.
     fn exchange(&mut self, core: &RouterCore, idx: usize, line: &str) -> Result<String, String> {
-        for attempt in 0..2 {
-            if self.conns[idx].is_none() {
-                match ShardConn::connect(&core.shards[idx], core.connect_timeout) {
-                    Ok(conn) => self.conns[idx] = Some(conn),
+        let addr = &core.shards[idx];
+        let mut failure = String::new();
+        for _ in 0..2 {
+            let mut conn = match self.conns[idx].take() {
+                Some(conn) => conn,
+                None => match ServiceClient::connect_timeout(addr, core.connect_timeout) {
+                    Ok(conn) => conn,
                     Err(e) => {
-                        if attempt == 1 {
-                            core.metrics.shard_errors[idx].inc();
-                            return Err(format!(
-                                "shard {idx} ({}) unreachable: {e}",
-                                core.shards[idx]
-                            ));
-                        }
+                        failure = format!("shard {idx} ({addr}) unreachable: {e}");
                         continue;
                     }
+                },
+            };
+            match conn.exchange_raw(line) {
+                Ok(response) => {
+                    self.conns[idx] = Some(conn);
+                    return Ok(response);
                 }
-            }
-            match self.conns[idx].as_mut().expect("pooled conn").roundtrip(line) {
-                Ok(response) => return Ok(response),
-                Err(e) => {
-                    self.conns[idx] = None;
-                    if attempt == 1 {
-                        core.metrics.shard_errors[idx].inc();
-                        return Err(format!("shard {idx} ({}) failed: {e}", core.shards[idx]));
-                    }
-                }
+                Err(e) => failure = format!("shard {idx} ({addr}) failed: {e}"),
             }
         }
-        unreachable!("both exchange attempts returned")
+        core.metrics.shard_errors[idx].inc();
+        Err(failure)
     }
 
     /// Read one additional already-in-flight line from shard `idx` (sweep
@@ -348,7 +241,7 @@ impl ShardPool {
     /// must surface, not resend the whole sweep.
     fn read_extra_line(&mut self, core: &RouterCore, idx: usize) -> Result<String, String> {
         match self.conns[idx].as_mut() {
-            Some(conn) => conn.read_line().map_err(|e| {
+            Some(conn) => conn.read_raw_line().map_err(|e| {
                 self.conns[idx] = None;
                 core.metrics.shard_errors[idx].inc();
                 format!("shard {idx} ({}) died mid-sweep: {e}", core.shards[idx])
@@ -358,45 +251,10 @@ impl ShardPool {
     }
 }
 
-fn handle_client(stream: TcpStream, core: &Arc<RouterCore>) {
-    let _ = stream.set_nodelay(true);
-    let Ok(reader_stream) = stream.try_clone() else { return };
-    let mut writer = stream;
-    let mut reader = BufReader::new(reader_stream);
-    let mut pool = ShardPool::new(core.shards.len());
-    loop {
-        let (mut response, was_shutdown) = match read_frame_capped(&mut reader, core.max_line_bytes)
-        {
-            Err(_) | Ok(FrameRead::Eof) => break,
-            Ok(FrameRead::Oversized) => (
-                error_response(
-                    &format!("request line exceeds {} bytes", core.max_line_bytes),
-                    None,
-                ),
-                false,
-            ),
-            Ok(FrameRead::Line(bytes)) => match String::from_utf8(bytes) {
-                Err(_) => (error_response("request line is not valid UTF-8", None), false),
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => route_request(&line, core, &mut pool),
-            },
-        };
-        response.push('\n');
-        let written = writer.write_all(response.as_bytes());
-        if was_shutdown {
-            *core.exit_requested.lock().expect("exit lock") = true;
-            core.exit.notify_all();
-        }
-        if written.is_err() {
-            break;
-        }
-    }
-}
-
 /// Dispatch one request line: answer locally, forward to the owning
 /// shard, or fan out across all shards. Always returns one response
 /// (sweeps: one header + N point lines, newline-joined like the shard's).
-fn route_request(line: &str, core: &Arc<RouterCore>, pool: &mut ShardPool) -> (String, bool) {
+fn route_request(line: &str, core: &RouterCore, pool: &mut ShardPool) -> (String, bool) {
     match parse_request(line) {
         Err(e) => {
             core.metrics.local.inc();
@@ -421,74 +279,54 @@ fn route_request(line: &str, core: &Arc<RouterCore>, pool: &mut ShardPool) -> (S
         }
         Ok(Request::Metrics) => {
             core.metrics.local.inc();
-            (
-                Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("metrics", Json::Str(parallax_trace::render_prometheus())),
-                ])
-                .encode(),
-                false,
-            )
+            (listener::metrics_response(), false)
         }
         Ok(Request::Trace { limit }) => (merged_trace_response(core, pool, limit), false),
         Ok(Request::Shards) => (topology_response(core, pool), false),
-        Ok(Request::Cache(op)) => (fan_out_response(core, pool, &Request::Cache(op)), false),
-        Ok(Request::Drain) => (fan_out_response(core, pool, &Request::Drain), false),
-        Ok(Request::Shutdown) => {
-            // Drain every shard first; only then acknowledge, so "drained"
-            // means the whole fabric finished its accepted work.
-            let response = fan_out_response(core, pool, &Request::Shutdown);
-            (response, true)
+        Ok(request @ (Request::Cache(_) | Request::Drain | Request::Shutdown)) => {
+            // A shutdown drains every shard first and only then is
+            // acknowledged, so "drained" means the whole fabric finished
+            // its accepted work.
+            let shutdown = request == Request::Shutdown;
+            (fan_out_response(core, pool, &request), shutdown)
         }
         Ok(Request::Submit(mut req)) => {
-            let routed = match route_key_for(&req) {
-                Ok(key) => key,
-                Err(e) => {
-                    core.metrics.local.inc();
-                    return (error_response(&e, req.id), false);
-                }
-            };
-            inject_trace(&mut req.trace);
-            let shard = core.ring.route(routed);
-            core.metrics.forwarded[shard].inc();
-            let wire = encode_request(&Request::Submit(req.clone()));
-            match pool.exchange(core, shard, &wire) {
-                Ok(response) => (response, false),
-                Err(e) => (error_response(&e, req.id), false),
-            }
+            let id = req.id;
+            let relayed = owner(core, &mut req).and_then(|shard| {
+                pool.exchange(core, shard, &encode_request(&Request::Submit(req)))
+            });
+            (relayed.unwrap_or_else(|e| error_response(&e, id)), false)
         }
         Ok(Request::SubmitSweep(mut req)) => {
-            let routed = match route_key_for(&req.submit) {
-                Ok(key) => key,
-                Err(e) => {
-                    core.metrics.local.inc();
-                    return (error_response(&e, req.submit.id), false);
-                }
-            };
-            inject_trace(&mut req.submit.trace);
-            let shard = core.ring.route(routed);
-            core.metrics.forwarded[shard].inc();
             let id = req.submit.id;
-            let wire = encode_request(&Request::SubmitSweep(req));
-            (forward_sweep(core, pool, shard, &wire, id), false)
+            let relayed = owner(core, &mut req.submit).and_then(|shard| {
+                forward_sweep(core, pool, shard, &encode_request(&Request::SubmitSweep(req)))
+            });
+            (relayed.unwrap_or_else(|e| error_response(&e, id)), false)
         }
     }
 }
 
-/// Mint and inject a wire trace id when the client did not supply one, so
-/// the shard annotates its span tree with an id the router's merged
-/// `TRACE` (and the client's response echo) can find.
-fn inject_trace(trace: &mut Option<String>) {
-    if trace.is_none() {
-        *trace = Some(format!("{:016x}", parallax_trace::next_trace_id()));
+/// The shard owning a submission, counted as a forward to it. The
+/// submission is resolved exactly as a shard would and its content address
+/// folded onto the ring; an invalid one is refused here, with the error
+/// text a shard would send, without burning a forward. A submission
+/// without a trace id gets one minted and injected, so the shard annotates
+/// its span tree with an id the router's merged `TRACE` (and the client's
+/// response echo) can find.
+fn owner(core: &RouterCore, req: &mut SubmitRequest) -> Result<usize, String> {
+    let key = route_key_for(req).inspect_err(|_| core.metrics.local.inc())?;
+    if req.trace.is_none() {
+        req.trace = Some(format!("{:016x}", parallax_trace::next_trace_id()));
     }
+    let shard = core.ring.route(key);
+    core.metrics.forwarded[shard].inc();
+    Ok(shard)
 }
 
-/// Resolve the submission exactly as a shard would and fold its content
-/// address onto the ring. Invalid submissions fail here — the router
-/// rejects them with the same error text a shard would, without burning a
-/// forward.
-fn route_key_for(req: &crate::protocol::SubmitRequest) -> Result<u64, String> {
+/// Fold a submission's content address onto the ring, resolving it
+/// exactly as a shard would.
+fn route_key_for(req: &SubmitRequest) -> Result<u64, String> {
     let (compiler, circuit) = req.resolve()?;
     Ok(ring_key(crate::protocol::circuit_content_hash(&circuit), compiler.fingerprint()))
 }
@@ -500,31 +338,21 @@ fn forward_sweep(
     pool: &mut ShardPool,
     shard: usize,
     wire: &str,
-    id: Option<u64>,
-) -> String {
-    let header = match pool.exchange(core, shard, wire) {
-        Ok(h) => h,
-        Err(e) => return error_response(&e, id),
-    };
-    let parsed = match json::parse(&header) {
-        Ok(p) => p,
-        Err(e) => return error_response(&format!("shard {shard} sent invalid JSON: {e}"), id),
-    };
+) -> Result<String, String> {
+    let header = pool.exchange(core, shard, wire)?;
+    let parsed =
+        json::parse(&header).map_err(|e| format!("shard {shard} sent invalid JSON: {e}"))?;
     let is_sweep = parsed.get("ok").and_then(Json::as_bool) == Some(true)
         && parsed.get("sweep").and_then(Json::as_bool) == Some(true);
     if !is_sweep {
-        return header; // single-line refusal/error: relay verbatim
+        return Ok(header); // single-line refusal/error: relay verbatim
     }
     let points = parsed.get("points").and_then(Json::as_u64).unwrap_or(0);
-    let mut lines = Vec::with_capacity(points as usize + 1);
-    lines.push(header);
+    let mut lines = vec![header];
     for _ in 0..points {
-        match pool.read_extra_line(core, shard) {
-            Ok(line) => lines.push(line),
-            Err(e) => return error_response(&e, id),
-        }
+        lines.push(pool.read_extra_line(core, shard)?);
     }
-    lines.join("\n")
+    Ok(lines.join("\n"))
 }
 
 /// The router's own `STATS`: role, topology size, and per-shard forwarding
@@ -541,9 +369,7 @@ fn router_stats_response(core: &RouterCore) -> String {
         ("shard_errors", per_shard(&core.metrics.shard_errors)),
         ("local_answers", Json::Int(core.metrics.local.get())),
     ]);
-    let trace = format!("{:016x}", parallax_trace::next_trace_id());
-    Json::obj(vec![("ok", Json::Bool(true)), ("trace_id", Json::Str(trace)), ("stats", stats)])
-        .encode()
+    listener::stats_response(stats)
 }
 
 /// Fan an admin request out to every shard and report per-shard outcomes.
@@ -551,23 +377,18 @@ fn fan_out_response(core: &RouterCore, pool: &mut ShardPool, request: &Request) 
     let wire = encode_request(request);
     let mut oks = 0u64;
     let results: Vec<Json> = (0..core.shards.len())
-        .map(|i| match pool.exchange(core, i, &wire) {
-            Ok(response) => {
-                let parsed = json::parse(&response).unwrap_or(Json::Null);
-                if parsed.get("ok").and_then(Json::as_bool) == Some(true) {
-                    oks += 1;
+        .map(|i| {
+            let mut pairs =
+                vec![("index", Json::Int(i as u64)), ("addr", Json::Str(core.shards[i].clone()))];
+            match pool.exchange(core, i, &wire) {
+                Ok(response) => {
+                    let parsed = json::parse(&response).unwrap_or(Json::Null);
+                    oks += u64::from(parsed.get("ok").and_then(Json::as_bool) == Some(true));
+                    pairs.push(("response", parsed));
                 }
-                Json::obj(vec![
-                    ("index", Json::Int(i as u64)),
-                    ("addr", Json::Str(core.shards[i].clone())),
-                    ("response", parsed),
-                ])
+                Err(e) => pairs.push(("error", Json::Str(e))),
             }
-            Err(e) => Json::obj(vec![
-                ("index", Json::Int(i as u64)),
-                ("addr", Json::Str(core.shards[i].clone())),
-                ("error", Json::Str(e)),
-            ]),
+            Json::obj(pairs)
         })
         .collect();
     let mut pairs = vec![
@@ -622,29 +443,7 @@ fn topology_response(core: &RouterCore, pool: &mut ShardPool) -> String {
 /// wire id as `client_trace_id`, which is the id the client saw — so one
 /// logical request still yields one findable tree across the fabric.
 fn merged_trace_response(core: &RouterCore, pool: &mut ShardPool, limit: usize) -> String {
-    let mut traces: Vec<Json> = parallax_trace::recent_traces(limit)
-        .iter()
-        .map(|t| {
-            let events: Vec<Json> = t
-                .events
-                .iter()
-                .map(|e| {
-                    Json::obj(vec![
-                        ("name", Json::Str(e.name.to_string())),
-                        ("tid", Json::Int(u64::from(e.tid))),
-                        ("depth", Json::Int(u64::from(e.depth))),
-                        ("ts_ns", Json::Int(e.ts_ns)),
-                        ("dur_ns", Json::Int(e.dur_ns)),
-                    ])
-                })
-                .collect();
-            Json::obj(vec![
-                ("trace_id", Json::Str(format!("{:016x}", t.trace_id))),
-                ("source", Json::Str("router".into())),
-                ("events", Json::Arr(events)),
-            ])
-        })
-        .collect();
+    let mut traces = span_trees(limit, |_| Some(("source", Json::Str("router".into()))));
     let mut dropped = parallax_trace::dropped_events();
     let mut enabled = parallax_trace::enabled();
     let wire = encode_request(&Request::Trace { limit });
@@ -655,25 +454,15 @@ fn merged_trace_response(core: &RouterCore, pool: &mut ShardPool, limit: usize) 
         dropped += parsed.get("dropped_events").and_then(Json::as_u64).unwrap_or(0);
         if let Some(Json::Arr(shard_traces)) = parsed.get("traces") {
             for tree in shard_traces {
-                let mut pairs = vec![("source", Json::Str(format!("shard-{i}")))];
-                if let Json::Obj(fields) = tree {
-                    for (k, v) in fields {
-                        pairs.push((k.as_str(), v.clone()));
-                    }
+                let mut fields = vec![("source".to_string(), Json::Str(format!("shard-{i}")))];
+                if let Json::Obj(tree) = tree {
+                    fields.extend(tree.iter().cloned());
                 }
-                let owned: Vec<(String, Json)> =
-                    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-                traces.push(Json::Obj(owned));
+                traces.push(Json::Obj(fields));
             }
         }
     }
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("enabled", Json::Bool(enabled)),
-        ("dropped_events", Json::Int(dropped)),
-        ("traces", Json::Arr(traces)),
-    ])
-    .encode()
+    trace_response(enabled, dropped, traces)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The TCP compile server: accept loop, per-connection request handling,
-//! and graceful drain-on-shutdown.
+//! The TCP compile server: request handling and graceful drain-on-shutdown
+//! on top of the shared connection layer ([`crate::listener`]).
 //!
 //! Each connection gets a handler thread that processes its requests
 //! strictly in order (so responses are index-stable per connection);
@@ -15,6 +15,7 @@
 use crate::cache::{insert_payload, CacheKey, ResultCache};
 use crate::disk::DiskCache;
 use crate::json::Json;
+use crate::listener::{self, span_trees, trace_response, Handle, Tier};
 use crate::metrics::{cache_fields, Metrics};
 use crate::protocol::{
     circuit_content_hash, compile_payload, error_response, parse_request, CacheOp, Request,
@@ -23,8 +24,7 @@ use crate::protocol::{
 use crate::queue::{JobQueue, PushError};
 use crate::worker::{effective_workers, spawn_workers, Job, JobOutcome};
 use parallax_circuit::CircuitTemplate;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -66,7 +66,7 @@ impl Default for ServerConfig {
             cache_capacity: 8 * 1024 * 1024,
             disk_cache_dir: None,
             enqueue_timeout_ms: 1000,
-            max_line_bytes: 8 * 1024 * 1024,
+            max_line_bytes: listener::DEFAULT_MAX_LINE_BYTES,
         }
     }
 }
@@ -144,25 +144,38 @@ struct ServerCore {
     /// Whether new *submissions* are accepted. Cleared by `DRAIN` and
     /// shutdown; stats/metrics/admin traffic keeps flowing either way.
     accepting: AtomicBool,
-    /// Whether the accept loop should stop taking connections entirely.
-    /// Only shutdown sets this — a drained shard still answers its admin
-    /// plane on new connections.
-    exiting: AtomicBool,
     workers: Mutex<Option<Vec<JoinHandle<()>>>>,
     drain: Mutex<DrainPhase>,
     drained: Condvar,
-    addr: SocketAddr,
     enqueue_timeout: Duration,
-    max_line_bytes: usize,
     started: Instant,
-    /// Set (after the shutdown response has been written to its client)
-    /// to release [`ServerHandle::wait_until_drained`]; signalling only
-    /// post-write keeps the daemon from exiting before the ack leaves.
-    exit_requested: Mutex<bool>,
-    exit: Condvar,
 }
 
 impl ServerCore {
+    fn new(config: &ServerConfig) -> std::io::Result<Self> {
+        let disk = match &config.disk_cache_dir {
+            Some(dir) => Some(DiskCache::open(dir)?),
+            None => None,
+        };
+        let shared = Arc::new(ServiceShared {
+            queue: JobQueue::new(config.queue_capacity),
+            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
+            disk,
+            metrics: Metrics::default(),
+            trace_tags: Mutex::new(std::collections::VecDeque::new()),
+        });
+        let workers = spawn_workers(effective_workers(config.workers), shared.clone());
+        Ok(Self {
+            shared,
+            accepting: AtomicBool::new(true),
+            workers: Mutex::new(Some(workers)),
+            drain: Mutex::new(DrainPhase::Running),
+            drained: Condvar::new(),
+            enqueue_timeout: Duration::from_millis(config.enqueue_timeout_ms),
+            started: Instant::now(),
+        })
+    }
+
     /// Drive (or wait for) the graceful drain: refuse new jobs, close the
     /// queue, and block until the workers have finished every accepted job.
     fn drain(&self) {
@@ -188,63 +201,29 @@ impl ServerCore {
             }
         }
     }
+}
 
-    /// Stop the accept loop (connected clients finish their in-flight
-    /// request/response; new connections are refused). The final step of
-    /// shutdown — never part of a plain `DRAIN`.
-    fn stop_accepting_connections(&self) {
-        self.exiting.store(true, Ordering::SeqCst);
-        // Unblock the accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
+impl Tier for ServerCore {
+    const NAME: &'static str = "parallax";
+    type Conn = ();
+
+    fn open(&self) {}
+
+    fn respond(&self, line: &str, _: &mut ()) -> (String, bool) {
+        handle_request(line, self)
+    }
+
+    fn count_rejected_frame(&self) {
+        Metrics::inc(&self.shared.metrics.bad_requests);
+    }
+
+    fn stop(&self) {
+        self.drain();
     }
 }
 
-/// A running compile server. Dropping the handle shuts it down.
-pub struct ServerHandle {
-    core: Arc<ServerCore>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (with the resolved ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.core.addr
-    }
-
-    /// Shared state (queue/cache/metrics), e.g. for tests and embedding.
-    pub fn shared(&self) -> &Arc<ServiceShared> {
-        &self.core.shared
-    }
-
-    /// Gracefully shut down: drain accepted jobs, stop the accept loop,
-    /// and join it. Idempotent.
-    pub fn shutdown(&mut self) {
-        self.core.drain();
-        self.core.stop_accepting_connections();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Block until some client initiates shutdown (the `SHUTDOWN`
-    /// command) and its acknowledgement has been written back, then finish
-    /// the drain and stop — the serve daemon's main loop.
-    pub fn wait_until_drained(&mut self) {
-        {
-            let mut requested = self.core.exit_requested.lock().expect("exit lock");
-            while !*requested {
-                requested = self.core.exit.wait(requested).expect("exit lock");
-            }
-        }
-        self.shutdown();
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+/// A running compile server. Dropping the handle drains and shuts it down.
+pub type ServerHandle = Handle;
 
 /// Start a server per `config`; returns once the listener is bound.
 pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
@@ -252,154 +231,14 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // metrics registry before the first `METRICS` request can arrive.
     parallax_core::register_observability();
     let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let disk = match &config.disk_cache_dir {
-        Some(dir) => Some(DiskCache::open(dir)?),
-        None => None,
-    };
-    let shared = Arc::new(ServiceShared {
-        queue: JobQueue::new(config.queue_capacity),
-        cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-        disk,
-        metrics: Metrics::default(),
-        trace_tags: Mutex::new(std::collections::VecDeque::new()),
-    });
-    let workers = spawn_workers(effective_workers(config.workers), shared.clone());
-    let core = Arc::new(ServerCore {
-        shared,
-        accepting: AtomicBool::new(true),
-        exiting: AtomicBool::new(false),
-        workers: Mutex::new(Some(workers)),
-        drain: Mutex::new(DrainPhase::Running),
-        drained: Condvar::new(),
-        addr,
-        enqueue_timeout: Duration::from_millis(config.enqueue_timeout_ms),
-        max_line_bytes: config.max_line_bytes.max(1),
-        started: Instant::now(),
-        exit_requested: Mutex::new(false),
-        exit: Condvar::new(),
-    });
-    let accept_core = core.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name("parallax-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_core))?;
-    Ok(ServerHandle { core, accept_thread: Some(accept_thread) })
-}
-
-fn accept_loop(listener: &TcpListener, core: &Arc<ServerCore>) {
-    for stream in listener.incoming() {
-        if core.exiting.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let core = core.clone();
-        let _ = std::thread::Builder::new()
-            .name("parallax-conn".to_string())
-            .spawn(move || handle_connection(stream, &core));
-    }
-}
-
-/// One framing read: a complete line, an oversized line (consumed through
-/// its newline so the connection can resynchronize), or end of stream.
-pub(crate) enum FrameRead {
-    /// A complete frame (final unterminated frames before EOF included,
-    /// matching `BufRead::lines`): raw bytes, newline stripped.
-    Line(Vec<u8>),
-    /// The line exceeded the cap; its bytes were discarded.
-    Oversized,
-    /// Clean end of stream.
-    Eof,
-}
-
-/// Read one newline-delimited frame, buffering at most `cap` bytes. An
-/// over-cap line is drained chunk by chunk (never held in memory) until
-/// its newline or EOF, then reported as [`FrameRead::Oversized`] so the
-/// caller can answer with a structured error and keep serving.
-pub(crate) fn read_frame_capped(
-    reader: &mut impl BufRead,
-    cap: usize,
-) -> std::io::Result<FrameRead> {
-    let mut out: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(match (overflowed, out.is_empty()) {
-                (true, _) => FrameRead::Oversized,
-                (false, true) => FrameRead::Eof,
-                (false, false) => FrameRead::Line(out),
-            });
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(available.len());
-        if !overflowed {
-            if out.len() + take > cap {
-                overflowed = true;
-                out = Vec::new();
-            } else {
-                out.extend_from_slice(&available[..take]);
-            }
-        }
-        reader.consume(take + usize::from(newline.is_some()));
-        if newline.is_some() {
-            return Ok(if overflowed { FrameRead::Oversized } else { FrameRead::Line(out) });
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, core: &Arc<ServerCore>) {
-    // Interactive request/response over tiny messages: Nagle's algorithm
-    // would add tens of milliseconds per roundtrip, so send each response
-    // as one immediate write.
-    let _ = stream.set_nodelay(true);
-    let Ok(reader_stream) = stream.try_clone() else { return };
-    let mut writer = stream;
-    let mut reader = BufReader::new(reader_stream);
-    loop {
-        let (mut response, was_shutdown) = match read_frame_capped(&mut reader, core.max_line_bytes)
-        {
-            Err(_) | Ok(FrameRead::Eof) => break,
-            Ok(FrameRead::Oversized) => {
-                Metrics::inc(&core.shared.metrics.bad_requests);
-                (
-                    error_response(
-                        &format!(
-                            "request line exceeds {} bytes; split the submission or raise \
-                             the server's line cap",
-                            core.max_line_bytes
-                        ),
-                        None,
-                    ),
-                    false,
-                )
-            }
-            Ok(FrameRead::Line(bytes)) => match String::from_utf8(bytes) {
-                Err(_) => {
-                    Metrics::inc(&core.shared.metrics.bad_requests);
-                    (error_response("request line is not valid UTF-8", None), false)
-                }
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => handle_request(&line, core),
-            },
-        };
-        response.push('\n');
-        let written = writer.write_all(response.as_bytes());
-        if was_shutdown {
-            // Only now — with the drain complete *and* the ack on the wire
-            // — may the daemon's wait_until_drained() proceed to exit.
-            *core.exit_requested.lock().expect("exit lock") = true;
-            core.exit.notify_all();
-        }
-        if written.is_err() {
-            break;
-        }
-    }
+    let core = ServerCore::new(&config)?;
+    listener::serve(listener, Arc::new(core), config.max_line_bytes)
 }
 
 /// Dispatch one request line to its handler; always returns one response
 /// line (never panics on malformed input). The flag marks a shutdown
 /// request whose drain has completed.
-fn handle_request(line: &str, core: &Arc<ServerCore>) -> (String, bool) {
+fn handle_request(line: &str, core: &ServerCore) -> (String, bool) {
     let shared = &core.shared;
     match parse_request(line) {
         Err(e) => {
@@ -421,41 +260,21 @@ fn handle_request(line: &str, core: &Arc<ServerCore>) -> (String, bool) {
                 shared.queue.capacity(),
                 shared.cache_json(),
             );
-            // The trace id rides the response *wrapper* so the `stats`
-            // object itself keeps its pinned (golden-tested) shape.
-            let trace = format!("{:016x}", parallax_trace::next_trace_id());
-            (
-                Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("trace_id", Json::Str(trace)),
-                    ("stats", stats),
-                ])
-                .encode(),
-                false,
-            )
+            (listener::stats_response(stats), false)
         }
-        Ok(Request::Metrics) => (
-            Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("metrics", Json::Str(parallax_trace::render_prometheus())),
-            ])
-            .encode(),
-            false,
-        ),
-        Ok(Request::Trace { limit }) => (trace_response(shared, limit), false),
-        Ok(Request::Shutdown) => {
-            core.drain();
-            (
-                Json::obj(vec![("ok", Json::Bool(true)), ("drained", Json::Bool(true))]).encode(),
-                true,
-            )
+        Ok(Request::Metrics) => (listener::metrics_response(), false),
+        Ok(Request::Trace { limit }) => {
+            let traces = span_trees(limit, |id| {
+                shared.client_trace_tag(id).map(|tag| ("client_trace_id", Json::Str(tag)))
+            });
+            let response =
+                trace_response(parallax_trace::enabled(), parallax_trace::dropped_events(), traces);
+            (response, false)
         }
-        Ok(Request::Drain) => {
+        Ok(request @ (Request::Shutdown | Request::Drain)) => {
             core.drain();
-            (
-                Json::obj(vec![("ok", Json::Bool(true)), ("drained", Json::Bool(true))]).encode(),
-                false,
-            )
+            let drained = Json::obj(vec![("ok", Json::Bool(true)), ("drained", Json::Bool(true))]);
+            (drained.encode(), request == Request::Shutdown)
         }
         Ok(Request::Cache(op)) => (handle_cache_op(op, core), false),
         Ok(Request::Shards) => (shard_role_response(core), false),
@@ -468,7 +287,7 @@ fn handle_request(line: &str, core: &Arc<ServerCore>) -> (String, bool) {
 /// budget, or persist it to disk. Every response carries the post-op
 /// cache snapshot so the admin sees the effect without a second round
 /// trip.
-fn handle_cache_op(op: CacheOp, core: &Arc<ServerCore>) -> String {
+fn handle_cache_op(op: CacheOp, core: &ServerCore) -> String {
     let shared = &core.shared;
     let mut pairs = vec![("ok", Json::Bool(true))];
     match op {
@@ -506,7 +325,7 @@ fn handle_cache_op(op: CacheOp, core: &Arc<ServerCore>) -> String {
 /// A plain shard's `SHARDS` answer: its role and vitals. The router
 /// overrides this with the full topology; a shard answering for itself is
 /// what lets an admin point the same client at either tier.
-fn shard_role_response(core: &Arc<ServerCore>) -> String {
+fn shard_role_response(core: &ServerCore) -> String {
     let shared = &core.shared;
     Json::obj(vec![
         ("ok", Json::Bool(true)),
@@ -519,48 +338,7 @@ fn shard_role_response(core: &Arc<ServerCore>) -> String {
     .encode()
 }
 
-/// The `TRACE` response: the most recent per-request span trees still in
-/// the ring buffer, newest first. When tracing is disabled the list is
-/// empty — the `enabled` flag tells the client which case it is seeing.
-/// Trees whose request carried a client-supplied trace id additionally
-/// report it as `client_trace_id`, joining the tree to the id the client
-/// saw echoed in its response.
-fn trace_response(shared: &ServiceShared, limit: usize) -> String {
-    let traces = parallax_trace::recent_traces(limit);
-    let trees: Vec<Json> = traces
-        .iter()
-        .map(|t| {
-            let events: Vec<Json> = t
-                .events
-                .iter()
-                .map(|e| {
-                    Json::obj(vec![
-                        ("name", Json::Str(e.name.to_string())),
-                        ("tid", Json::Int(u64::from(e.tid))),
-                        ("depth", Json::Int(u64::from(e.depth))),
-                        ("ts_ns", Json::Int(e.ts_ns)),
-                        ("dur_ns", Json::Int(e.dur_ns)),
-                    ])
-                })
-                .collect();
-            let mut pairs = vec![("trace_id", Json::Str(format!("{:016x}", t.trace_id)))];
-            if let Some(tag) = shared.client_trace_tag(t.trace_id) {
-                pairs.push(("client_trace_id", Json::Str(tag)));
-            }
-            pairs.push(("events", Json::Arr(events)));
-            Json::obj(pairs)
-        })
-        .collect();
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("enabled", Json::Bool(parallax_trace::enabled())),
-        ("dropped_events", Json::Int(parallax_trace::dropped_events())),
-        ("traces", Json::Arr(trees)),
-    ])
-    .encode()
-}
-
-fn handle_submit(req: &SubmitRequest, core: &Arc<ServerCore>) -> String {
+fn handle_submit(req: &SubmitRequest, core: &ServerCore) -> String {
     let shared = &core.shared;
     let arrived = Instant::now();
     // Every submission gets a numeric trace id tagging its spans in the
@@ -654,7 +432,7 @@ fn handle_submit(req: &SubmitRequest, core: &Arc<ServerCore>) -> String {
 /// hits. Invalid sweeps (arity mismatch, non-finite angles) are refused
 /// with a single structured error *before* any compilation — the server
 /// keeps serving.
-fn handle_sweep(req: &SweepRequest, core: &Arc<ServerCore>) -> String {
+fn handle_sweep(req: &SweepRequest, core: &ServerCore) -> String {
     use std::fmt::Write as _;
     let shared = &core.shared;
     let arrived = Instant::now();
@@ -796,15 +574,19 @@ mod tests {
     use super::*;
     use crate::json;
 
-    fn test_server(workers: usize, queue: usize, cache: usize) -> ServerHandle {
-        start(ServerConfig {
+    /// A served core: the handle (draining on drop) and the core its
+    /// connections answer from, for driving `handle_request` directly.
+    fn test_server(workers: usize, queue: usize, cache: usize) -> (ServerHandle, Arc<ServerCore>) {
+        let config = ServerConfig {
             workers,
             queue_capacity: queue,
             cache_capacity: cache,
             enqueue_timeout_ms: 50,
             ..Default::default()
-        })
-        .expect("bind ephemeral port")
+        };
+        let core = Arc::new(ServerCore::new(&config).expect("server core"));
+        let listener = TcpListener::bind(&config.addr).expect("bind ephemeral port");
+        (listener::serve(listener, core.clone(), config.max_line_bytes).expect("serve"), core)
     }
 
     fn submit_line(workload: &str, seed: u64) -> String {
@@ -813,15 +595,14 @@ mod tests {
 
     #[test]
     fn handles_requests_in_process() {
-        let server = test_server(2, 8, 1 << 20);
-        let core = &server.core;
-        let pong = json::parse(&handle_request("{\"cmd\":\"ping\"}", core).0).unwrap();
+        let (_server, core) = test_server(2, 8, 1 << 20);
+        let pong = json::parse(&handle_request("{\"cmd\":\"ping\"}", &core).0).unwrap();
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
 
-        let first = json::parse(&handle_request(&submit_line("ADD", 1), core).0).unwrap();
+        let first = json::parse(&handle_request(&submit_line("ADD", 1), &core).0).unwrap();
         assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
-        let repeat = json::parse(&handle_request(&submit_line("ADD", 1), core).0).unwrap();
+        let repeat = json::parse(&handle_request(&submit_line("ADD", 1), &core).0).unwrap();
         assert_eq!(repeat.get("cached").and_then(Json::as_bool), Some(true));
         assert_eq!(
             first.get("result").unwrap().encode(),
@@ -829,7 +610,7 @@ mod tests {
             "cache must serve the identical payload"
         );
 
-        let stats = json::parse(&handle_request("{\"cmd\":\"stats\"}", core).0).unwrap();
+        let stats = json::parse(&handle_request("{\"cmd\":\"stats\"}", &core).0).unwrap();
         let stats = stats.get("stats").unwrap();
         assert_eq!(stats.get("cache_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("cache_misses").and_then(Json::as_u64), Some(1));
@@ -838,31 +619,29 @@ mod tests {
 
     #[test]
     fn responses_carry_trace_ids_and_echo_client_supplied_ones() {
-        let server = test_server(1, 4, 1 << 20);
-        let core = &server.core;
+        let (_server, core) = test_server(1, 4, 1 << 20);
         // Server-minted: 16 lowercase hex digits.
-        let r = json::parse(&handle_request(&submit_line("ADD", 11), core).0).unwrap();
+        let r = json::parse(&handle_request(&submit_line("ADD", 11), &core).0).unwrap();
         let minted = r.get("trace_id").and_then(Json::as_str).expect("trace_id").to_string();
         assert_eq!(minted.len(), 16, "minted ids are 16-hex: {minted}");
         assert!(minted.chars().all(|c| c.is_ascii_hexdigit()));
         // Client-supplied: echoed verbatim (and on the cached path too).
         let tagged = "{\"cmd\":\"submit\",\"workload\":\"ADD\",\"seed\":11,\"quick\":true,\
              \"trace_id\":\"corr-abc\"}";
-        let r = json::parse(&handle_request(tagged, core).0).unwrap();
+        let r = json::parse(&handle_request(tagged, &core).0).unwrap();
         assert_eq!(r.get("cached").and_then(Json::as_bool), Some(true));
         assert_eq!(r.get("trace_id").and_then(Json::as_str), Some("corr-abc"));
         // Stats responses are tagged on the wrapper, not inside `stats`.
-        let s = json::parse(&handle_request("{\"cmd\":\"stats\"}", core).0).unwrap();
+        let s = json::parse(&handle_request("{\"cmd\":\"stats\"}", &core).0).unwrap();
         assert!(s.get("trace_id").and_then(Json::as_str).is_some());
         assert!(s.get("stats").unwrap().get("trace_id").is_none());
     }
 
     #[test]
     fn metrics_op_serves_prometheus_text() {
-        let server = test_server(1, 4, 1 << 20);
-        let core = &server.core;
-        let _ = handle_request(&submit_line("QFT", 2), core).0;
-        let r = json::parse(&handle_request("{\"cmd\":\"metrics\"}", core).0).unwrap();
+        let (_server, core) = test_server(1, 4, 1 << 20);
+        let _ = handle_request(&submit_line("QFT", 2), &core).0;
+        let r = json::parse(&handle_request("{\"cmd\":\"metrics\"}", &core).0).unwrap();
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         let text = r.get("metrics").and_then(Json::as_str).expect("metrics text");
         assert!(text.contains("# TYPE parallax_service_events_total counter"), "{text}");
@@ -881,13 +660,12 @@ mod tests {
     #[test]
     fn trace_op_returns_span_trees_when_enabled() {
         let _flag = trace_flag_lock();
-        let server = test_server(1, 4, 1 << 20);
-        let core = &server.core;
+        let (_server, core) = test_server(1, 4, 1 << 20);
         parallax_trace::set_enabled(true);
-        let r = json::parse(&handle_request(&submit_line("TFIM", 5), core).0).unwrap();
+        let r = json::parse(&handle_request(&submit_line("TFIM", 5), &core).0).unwrap();
         parallax_trace::set_enabled(false);
         let wire = r.get("trace_id").and_then(Json::as_str).unwrap().to_string();
-        let t = json::parse(&handle_request("{\"cmd\":\"trace\",\"limit\":64}", core).0).unwrap();
+        let t = json::parse(&handle_request("{\"cmd\":\"trace\",\"limit\":64}", &core).0).unwrap();
         assert_eq!(t.get("ok").and_then(Json::as_bool), Some(true));
         let traces = match t.get("traces") {
             Some(Json::Arr(a)) => a,
@@ -910,15 +688,14 @@ mod tests {
     #[test]
     fn trace_op_annotates_client_tagged_requests() {
         let _flag = trace_flag_lock();
-        let server = test_server(1, 4, 1 << 20);
-        let core = &server.core;
+        let (_server, core) = test_server(1, 4, 1 << 20);
         parallax_trace::set_enabled(true);
         let tagged = "{\"cmd\":\"submit\",\"workload\":\"SAT\",\"seed\":9,\"quick\":true,\
                       \"trace_id\":\"corr-xyz\"}";
-        let r = json::parse(&handle_request(tagged, core).0).unwrap();
+        let r = json::parse(&handle_request(tagged, &core).0).unwrap();
         parallax_trace::set_enabled(false);
         assert_eq!(r.get("trace_id").and_then(Json::as_str), Some("corr-xyz"));
-        let t = json::parse(&handle_request("{\"cmd\":\"trace\",\"limit\":64}", core).0).unwrap();
+        let t = json::parse(&handle_request("{\"cmd\":\"trace\",\"limit\":64}", &core).0).unwrap();
         let traces = match t.get("traces") {
             Some(Json::Arr(a)) => a,
             other => panic!("traces must be an array, got {other:?}"),
@@ -932,21 +709,20 @@ mod tests {
 
     #[test]
     fn rejects_invalid_submissions_without_queueing() {
-        let server = test_server(1, 4, 1 << 20);
-        let core = &server.core;
+        let (_server, core) = test_server(1, 4, 1 << 20);
         for bad in [
             "{\"cmd\":\"submit\",\"workload\":\"NOPE\"}",
             "{\"cmd\":\"submit\",\"qasm\":\"not qasm\"}",
         ] {
-            let r = json::parse(&handle_request(bad, core).0).unwrap();
+            let r = json::parse(&handle_request(bad, &core).0).unwrap();
             assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
         }
-        assert_eq!(server.shared().queue.len(), 0);
+        assert_eq!(core.shared.queue.len(), 0);
     }
 
     #[test]
     fn oversized_circuit_is_rejected_up_front() {
-        let server = test_server(1, 4, 1 << 20);
+        let (_server, core) = test_server(1, 4, 1 << 20);
         // 300 declared qubits outsize the 256-site quera machine.
         let qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[300];\nh q[0];\n";
         let req = Json::obj(vec![
@@ -955,7 +731,7 @@ mod tests {
             ("quick", Json::Bool(true)),
         ])
         .encode();
-        let r = json::parse(&handle_request(&req, &server.core).0).unwrap();
+        let r = json::parse(&handle_request(&req, &core).0).unwrap();
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
         assert!(r.get("error").and_then(Json::as_str).unwrap().contains("300 qubits"));
     }
@@ -982,11 +758,10 @@ mod tests {
 
     #[test]
     fn sweep_streams_one_line_per_point_from_one_template() {
-        let server = test_server(1, 4, 1 << 20);
-        let core = &server.core;
+        let (_server, core) = test_server(1, 4, 1 << 20);
         let line =
             sweep_line("[[0.1,0.2,0.3,0.4,0.5,0.6],[1.0,2.0,3.0,4.0,5.0,6.0],[0,0,0,0,0,0]]");
-        let response = handle_request(&line, core).0;
+        let response = handle_request(&line, &core).0;
         let lines: Vec<&str> = response.split('\n').collect();
         assert_eq!(lines.len(), 4, "header + 3 points:\n{response}");
 
@@ -1018,11 +793,11 @@ mod tests {
         );
 
         // A repeat sweep is all hits.
-        let repeat = handle_request(&sweep_line("[[9,8,7,6,5,4]]"), core).0;
+        let repeat = handle_request(&sweep_line("[[9,8,7,6,5,4]]"), &core).0;
         let header = json::parse(repeat.split('\n').next().unwrap()).unwrap();
         assert_eq!(header.get("template_cache_hits").and_then(Json::as_u64), Some(1));
 
-        let stats = json::parse(&handle_request("{\"cmd\":\"stats\"}", core).0).unwrap();
+        let stats = json::parse(&handle_request("{\"cmd\":\"stats\"}", &core).0).unwrap();
         let stats = stats.get("stats").unwrap();
         assert_eq!(stats.get("sweep_points").and_then(Json::as_u64), Some(4));
         assert_eq!(stats.get("template_cache_hits").and_then(Json::as_u64), Some(3));
@@ -1031,13 +806,12 @@ mod tests {
 
     #[test]
     fn sweep_rejects_bad_points_with_one_structured_error() {
-        let server = test_server(1, 4, 1 << 20);
-        let core = &server.core;
+        let (_server, core) = test_server(1, 4, 1 << 20);
         for (params, needle) in [
             ("[[0.1,0.2]]", "parameter count mismatch"),
             ("[[0.1,0.2,0.3,0.4,0.5,1e999]]", "not finite"),
         ] {
-            let response = handle_request(&sweep_line(params), core).0;
+            let response = handle_request(&sweep_line(params), &core).0;
             assert!(!response.contains('\n'), "errors are single-line: {response}");
             let r = json::parse(&response).unwrap();
             assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{params}");
@@ -1045,22 +819,21 @@ mod tests {
             assert_eq!(r.get("id").and_then(Json::as_u64), Some(7));
         }
         // The server keeps compiling after refused sweeps.
-        let ok = json::parse(&handle_request(&submit_line("ADD", 3), core).0).unwrap();
+        let ok = json::parse(&handle_request(&submit_line("ADD", 3), &core).0).unwrap();
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
     fn shutdown_is_idempotent_and_rejects_new_submits() {
-        let mut server = test_server(2, 8, 1 << 20);
-        let ok = json::parse(&handle_request(&submit_line("MLT", 1), &server.core).0).unwrap();
+        let (mut server, core) = test_server(2, 8, 1 << 20);
+        let ok = json::parse(&handle_request(&submit_line("MLT", 1), &core).0).unwrap();
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
-        let drained =
-            json::parse(&handle_request("{\"cmd\":\"shutdown\"}", &server.core).0).unwrap();
+        let drained = json::parse(&handle_request("{\"cmd\":\"shutdown\"}", &core).0).unwrap();
         assert_eq!(drained.get("drained").and_then(Json::as_bool), Some(true));
-        let refused = json::parse(&handle_request(&submit_line("MLT", 2), &server.core).0).unwrap();
+        let refused = json::parse(&handle_request(&submit_line("MLT", 2), &core).0).unwrap();
         assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
         // Stats still served while draining/drained.
-        let stats = json::parse(&handle_request("{\"cmd\":\"stats\"}", &server.core).0).unwrap();
+        let stats = json::parse(&handle_request("{\"cmd\":\"stats\"}", &core).0).unwrap();
         assert_eq!(
             stats.get("stats").and_then(|s| s.get("rejected_shutdown")).and_then(Json::as_u64),
             Some(1)

@@ -3,15 +3,71 @@
 //! garbage — must always be answered with a structured
 //! `{"ok":false,"error":...}` line (or a clean close for an empty
 //! truncated stream) and must never kill a worker: the same server keeps
-//! compiling real jobs afterwards.
+//! compiling real jobs afterwards. The framing cases run against both
+//! tiers a client can dial: a bare shard, and a router in front of one.
 
-use parallax_service::{start, Json, ServerConfig, ServerHandle, ServiceClient, SubmitRequest};
+use parallax_service::{
+    start, start_router, Json, RouterConfig, RouterHandle, ServerConfig, ServerHandle,
+    ServiceClient, SubmitRequest,
+};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 
-fn test_server() -> ServerHandle {
-    start(ServerConfig {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tier {
+    Shard,
+    Router,
+}
+
+const TIERS: [Tier; 2] = [Tier::Shard, Tier::Router];
+
+/// A running tier. Fields drop in order: the router before its shard.
+struct TestServer {
+    router: Option<RouterHandle>,
+    shard: ServerHandle,
+    tier: Tier,
+}
+
+impl TestServer {
+    /// The address clients dial.
+    fn addr(&self) -> SocketAddr {
+        self.router.as_ref().map_or_else(|| self.shard.addr(), RouterHandle::addr)
+    }
+
+    /// The front tier's request-line cap: the shard's small test cap, or
+    /// the router's fixed default.
+    fn line_cap(&self) -> usize {
+        match self.tier {
+            Tier::Shard => 64 * 1024,
+            Tier::Router => ServerConfig::default().max_line_bytes,
+        }
+    }
+
+    /// The front tier's count of lines it refused: a shard's
+    /// `bad_requests`, or a router's `local_answers`, which also counts
+    /// every ping and `STATS` it answered (this read included).
+    fn rejections(&self) -> u64 {
+        let counter = match self.tier {
+            Tier::Shard => "bad_requests",
+            Tier::Router => "local_answers",
+        };
+        let stats = ServiceClient::connect(self.addr()).expect("connect").stats().expect("stats");
+        stats.get(counter).and_then(Json::as_u64).expect("rejection counter")
+    }
+
+    /// How far `routine` pings and `STATS` reads move [`Self::rejections`].
+    fn routine(&self, answers: u64) -> u64 {
+        if self.tier == Tier::Router {
+            answers
+        } else {
+            0
+        }
+    }
+}
+
+fn test_server(tier: Tier) -> TestServer {
+    let shard = start(ServerConfig {
         workers: 2,
         queue_capacity: 8,
         cache_capacity: 8,
@@ -19,7 +75,12 @@ fn test_server() -> ServerHandle {
         max_line_bytes: 64 * 1024,
         ..Default::default()
     })
-    .expect("bind ephemeral port")
+    .expect("bind ephemeral port");
+    let router = (tier == Tier::Router).then(|| {
+        start_router(RouterConfig { shards: vec![shard.addr().to_string()], ..Default::default() })
+            .expect("bind ephemeral port")
+    });
+    TestServer { router, shard, tier }
 }
 
 /// Send raw bytes on a fresh connection, half-close the write side, and
@@ -50,64 +111,65 @@ fn assert_structured_error(line: &str) {
 
 #[test]
 fn truncated_frames_answer_or_close_cleanly() {
-    let server = test_server();
-    let addr = server.addr();
+    for tier in TIERS {
+        let server = test_server(tier);
+        let addr = server.addr();
 
-    // A frame cut off before its newline: processed as a final partial
-    // line (a parse error) and answered before the connection closes.
-    let responses = raw_exchange(addr, b"{\"cmd\":\"sub");
-    assert_eq!(responses.len(), 1, "{responses:?}");
-    assert_structured_error(&responses[0]);
+        // A frame cut off before its newline: processed as a final partial
+        // line (a parse error) and answered before the connection closes.
+        let responses = raw_exchange(addr, b"{\"cmd\":\"sub");
+        assert_eq!(responses.len(), 1, "{tier:?}: {responses:?}");
+        assert_structured_error(&responses[0]);
 
-    // A clean half-close with no bytes at all: no response, no harm.
-    assert!(raw_exchange(addr, b"").is_empty());
+        // A clean half-close with no bytes at all: no response, no harm.
+        assert!(raw_exchange(addr, b"").is_empty(), "{tier:?}");
 
-    // A valid request followed by a truncated second one: both answered
-    // (the first with ok:true).
-    let responses = raw_exchange(addr, b"{\"cmd\":\"ping\"}\n{\"cmd\":\"st");
-    assert_eq!(responses.len(), 2, "{responses:?}");
-    assert!(responses[0].contains("\"pong\":true"), "{responses:?}");
-    assert_structured_error(&responses[1]);
+        // A valid request followed by a truncated second one: both
+        // answered (the first with ok:true).
+        let responses = raw_exchange(addr, b"{\"cmd\":\"ping\"}\n{\"cmd\":\"st");
+        assert_eq!(responses.len(), 2, "{tier:?}: {responses:?}");
+        assert!(responses[0].contains("\"pong\":true"), "{tier:?}: {responses:?}");
+        assert_structured_error(&responses[1]);
 
-    assert_still_serving(addr);
+        assert_still_serving(addr);
+    }
 }
 
 #[test]
 fn oversized_lines_get_a_structured_error_and_resynchronize() {
-    let server = test_server();
-    let addr = server.addr();
+    for tier in TIERS {
+        let server = test_server(tier);
+        let addr = server.addr();
+        let cap = server.line_cap();
+        let before = server.rejections();
 
-    // One giant line (4x the cap), then a valid ping on the same
-    // connection: the server must discard through the newline, answer
-    // with a structured error, and then serve the ping normally.
-    let mut giant = vec![b'x'; 256 * 1024];
-    giant.push(b'\n');
-    giant.extend_from_slice(b"{\"cmd\":\"ping\"}\n");
-    let responses = raw_exchange(addr, &giant);
-    assert_eq!(responses.len(), 2, "{responses:?}");
-    assert_structured_error(&responses[0]);
-    assert!(responses[0].contains("exceeds"), "{responses:?}");
-    assert!(responses[1].contains("\"pong\":true"), "resync failed: {responses:?}");
+        // One giant line (4x the cap), then a valid ping on the same
+        // connection: the server must discard through the newline, answer
+        // with a structured error, and then serve the ping normally.
+        let mut giant = vec![b'x'; 4 * cap];
+        giant.push(b'\n');
+        giant.extend_from_slice(b"{\"cmd\":\"ping\"}\n");
+        let responses = raw_exchange(addr, &giant);
+        assert_eq!(responses.len(), 2, "{tier:?}: {responses:?}");
+        assert_structured_error(&responses[0]);
+        assert!(responses[0].contains("exceeds"), "{tier:?}: {responses:?}");
+        assert!(responses[1].contains("\"pong\":true"), "{tier:?} resync failed: {responses:?}");
 
-    // Oversized truncated tail (no newline before EOF): still answered.
-    let responses = raw_exchange(addr, &vec![b'y'; 256 * 1024]);
-    assert_eq!(responses.len(), 1, "{responses:?}");
-    assert_structured_error(&responses[0]);
+        // Oversized truncated tail (no newline before EOF): still answered.
+        let responses = raw_exchange(addr, &vec![b'y'; 4 * cap]);
+        assert_eq!(responses.len(), 1, "{tier:?}: {responses:?}");
+        assert_structured_error(&responses[0]);
 
-    let mut client = ServiceClient::connect(addr).expect("connect");
-    let stats = client.stats().expect("stats");
-    assert!(
-        stats.get("bad_requests").and_then(Json::as_u64).unwrap() >= 2,
-        "oversized lines must count as bad requests"
-    );
-    assert_still_serving(addr);
+        // Both oversized lines count as refusals (besides the resync ping
+        // and this second read on the router).
+        let refused = server.rejections() - before;
+        assert_eq!(refused, 2 + server.routine(2), "{tier:?}: oversized lines must count");
+        assert_still_serving(addr);
+    }
 }
 
 #[test]
 fn invalid_utf8_json_and_unknown_ops_are_rejected_without_casualties() {
-    let server = test_server();
-    let addr = server.addr();
-
     let cases: &[&[u8]] = &[
         b"\xff\xfe\x80garbage\n",                        // invalid UTF-8
         b"not json at all\n",                            // invalid JSON
@@ -119,12 +181,20 @@ fn invalid_utf8_json_and_unknown_ops_are_rejected_without_casualties() {
         b"[1,2,3]\n",                                    // non-object JSON
         b"\"just a string\"\n",                          // non-object JSON
     ];
-    for &case in cases {
-        let responses = raw_exchange(addr, case);
-        assert_eq!(responses.len(), 1, "case {case:?} -> {responses:?}");
-        assert_structured_error(&responses[0]);
+    for tier in TIERS {
+        let server = test_server(tier);
+        let before = server.rejections();
+        for &case in cases {
+            let responses = raw_exchange(server.addr(), case);
+            assert_eq!(responses.len(), 1, "{tier:?}: case {case:?} -> {responses:?}");
+            assert_structured_error(&responses[0]);
+        }
+        // Every case counts as one refusal, the framing's non-UTF-8 one
+        // included (besides this second read on the router).
+        let refused = server.rejections() - before;
+        assert_eq!(refused, cases.len() as u64 + server.routine(1), "{tier:?}");
+        assert_still_serving(server.addr());
     }
-    assert_still_serving(addr);
 }
 
 #[test]
@@ -170,7 +240,7 @@ fn deep_qasm_expressions_get_a_structured_error_and_the_connection_keeps_serving
     // A recursive-descent expression parser, or a recursive walk over a
     // left-deep operator chain, used to overflow the connection thread's
     // stack at this depth and abort the whole process.
-    let server = test_server();
+    let server = test_server(Tier::Shard);
     for line in deep_angle_submits(10_000) {
         let mut bytes = line.into_bytes();
         bytes.extend_from_slice(b"{\"cmd\":\"submit\",\"workload\":\"ADD\",\"quick\":true}\n");
@@ -188,7 +258,7 @@ fn oversized_aod_dim_is_rejected_before_any_allocation() {
     // 2^40 AOD lines would ask the array for terabytes and abort the whole
     // process; the submission must be refused as a structured error, both
     // as a submit and as a sweep, and the server must keep compiling.
-    let server = test_server();
+    let server = test_server(Tier::Shard);
     let addr = server.addr();
     let cases: &[&[u8]] = &[
         b"{\"cmd\":\"submit\",\"workload\":\"ADD\",\"quick\":true,\"aod_dim\":1099511627776}\n",
@@ -205,7 +275,7 @@ fn oversized_aod_dim_is_rejected_before_any_allocation() {
 
 #[test]
 fn malformed_sweeps_are_rejected_without_casualties() {
-    let server = test_server();
+    let server = test_server(Tier::Shard);
     let addr = server.addr();
 
     // Every malformed sweep is a single structured error line — the server
@@ -297,10 +367,6 @@ proptest! {
             1..4,
         )
     ) {
-        // One shared server across cases would hide per-case crashes less
-        // well than it saves time; still, binding is cheap enough per case.
-        let server = test_server();
-        let addr = server.addr();
         let mut wire = Vec::new();
         let mut expected = 0usize;
         for line in &lines {
@@ -317,16 +383,23 @@ proptest! {
             wire.push(b'\n');
             expected += 1;
         }
-        let responses = raw_exchange(addr, &wire);
-        prop_assert_eq!(responses.len(), expected, "one response per line");
-        for r in &responses {
-            let v = parallax_service::json::parse(r)
-                .map_err(|e| TestCaseError::fail(format!("bad response {r:?}: {e}")))?;
-            // Random bytes cannot spell a valid request, which always has
-            // a lowercase `cmd` — every response is a structured error.
-            prop_assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-            prop_assert!(v.get("error").and_then(Json::as_str).is_some());
+        for tier in TIERS {
+            // One shared server across cases would hide per-case crashes
+            // less well than it saves time; still, binding is cheap enough
+            // per case.
+            let server = test_server(tier);
+            let responses = raw_exchange(server.addr(), &wire);
+            prop_assert_eq!(responses.len(), expected, "{:?}: one response per line", tier);
+            for r in &responses {
+                let v = parallax_service::json::parse(r)
+                    .map_err(|e| TestCaseError::fail(format!("bad response {r:?}: {e}")))?;
+                // Random bytes cannot spell a valid request, which always
+                // has a lowercase `cmd` — every response is a structured
+                // error.
+                prop_assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+                prop_assert!(v.get("error").and_then(Json::as_str).is_some());
+            }
+            assert_still_serving(server.addr());
         }
-        assert_still_serving(addr);
     }
 }

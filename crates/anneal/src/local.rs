@@ -10,8 +10,9 @@
 //! the incumbent and only the probed coordinate is toggled, so every
 //! objective evaluation costs zero heap traffic (the annealer performs tens
 //! of thousands of probes per placement). The four setup allocations per
-//! call are counted in [`LocalResult::allocs`] so the `PARALLAX_PROFILE`
-//! instrumentation can attest the inner loop stays allocation-free.
+//! call are counted in [`LocalResult::allocs`] so the placement stage
+//! counter (`parallax_stage_allocs_total`) can attest the inner loop stays
+//! allocation-free.
 
 /// Result of a local search.
 #[derive(Debug, Clone, PartialEq)]

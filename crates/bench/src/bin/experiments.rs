@@ -21,8 +21,11 @@
 //! grids, `--samples` cold compiles per arm (default 3), and splits each
 //! arm's mean into per-stage columns (discretize, AOD selection,
 //! schedule and its frontier/movement/blockade/return sub-stages; it
-//! turns `PARALLAX_PROFILE` on for the run). Any other subcommand prints
-//! this usage to stderr and exits with status 2.
+//! turns span tracing on for its compiles so the sub-stages count). Any
+//! other subcommand prints this usage to stderr and exits with status 2.
+//!
+//! Every run ends with the cumulative stage table and the core cache
+//! lines on stderr, so stdout holds only the tables.
 //!
 //! `--trace FILE` enables span tracing for the run and exports every
 //! recorded span as Chrome trace-event JSON (open in `chrome://tracing`
@@ -211,22 +214,19 @@ fn main() {
         std::process::exit(2);
     }
 
-    if parallax_core::profile::enabled() {
-        println!(
-            "== PARALLAX_PROFILE: cumulative pipeline stage costs ==\n{}",
-            parallax_core::profile::render()
-        );
-        let lc = parallax_core::layout_cache_stats();
-        let tc = parallax_core::template_cache_stats();
-        println!(
-            "layout cache: len {} weight {}/{} hits {} misses {} evictions {}",
-            lc.len, lc.weight, lc.capacity, lc.hits, lc.misses, lc.evictions
-        );
-        println!(
-            "tmpl cache:   len {} weight {}/{} hits {} misses {} evictions {}",
-            tc.len, tc.weight, tc.capacity, tc.hits, tc.misses, tc.evictions
-        );
-    }
+    // Wall-clock numbers, so stderr: stdout stays byte-identical across
+    // runs, traced or not.
+    eprintln!("== cumulative pipeline stage costs ==\n{}", parallax_core::profile::render());
+    let lc = parallax_core::layout_cache_stats();
+    let tc = parallax_core::template_cache_stats();
+    eprintln!(
+        "layout cache: len {} weight {}/{} hits {} misses {} evictions {}",
+        lc.len, lc.weight, lc.capacity, lc.hits, lc.misses, lc.evictions
+    );
+    eprintln!(
+        "tmpl cache:   len {} weight {}/{} hits {} misses {} evictions {}",
+        tc.len, tc.weight, tc.capacity, tc.hits, tc.misses, tc.evictions
+    );
 
     // Opt-in registry dump: everything the run recorded (stage timers,
     // compile stats, cache gauges) in Prometheus text exposition.

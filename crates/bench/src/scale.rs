@@ -126,12 +126,14 @@ const SCALE_STAGES: [Stage; 7] = [
 /// `SCALE_STAGES`. Wall-clock columns, so this mode stays outside `all`
 /// (like `variational-sweep`); the shape columns are seed-stable.
 ///
-/// The stage columns read the [`profile`] counters, so this switches
-/// profiling on for the process ([`profile::force_enable`]); if profiling
-/// was already latched off they print `-`.
+/// The stage columns read the [`profile`] counters. The pipeline stages
+/// count on every compile; the scheduler sub-stages count only through
+/// their spans, so this turns span tracing on for its own compiles (and
+/// restores the previous setting after), which puts the tracing cost in
+/// the wall-clock columns too.
 pub fn scale_rows(samples: usize, seed: u64) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    profile::force_enable();
-    let profiled = profile::enabled();
+    let was_traced = parallax_trace::enabled();
+    parallax_trace::set_enabled(true);
     let mut headers = vec!["Machine", "Sites", "Qubits", "Samples", "Mean (ms)", "Min (ms)"];
     headers.extend(SCALE_STAGES.map(|stage| profile::STAGE_NAMES[stage as usize].trim_start()));
     headers.extend(["Layers", "Moves"]);
@@ -162,16 +164,16 @@ pub fn scale_rows(samples: usize, seed: u64) -> (Vec<&'static str>, Vec<Vec<Stri
             format!("{mean:.1}"),
             format!("{min:.1}"),
         ];
-        row.extend(after.iter().zip(before).map(|(&a, b)| {
-            if profiled {
-                format!("{:.1}", (a - b) as f64 / 1e3 / samples.max(1) as f64)
-            } else {
-                "-".to_string()
-            }
-        }));
+        row.extend(
+            after
+                .iter()
+                .zip(before)
+                .map(|(&a, b)| format!("{:.1}", (a - b) as f64 / 1e3 / samples.max(1) as f64)),
+        );
         row.extend([layers.to_string(), moves.to_string()]);
         data.push(row);
     }
+    parallax_trace::set_enabled(was_traced);
     (headers, data)
 }
 

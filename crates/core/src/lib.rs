@@ -17,8 +17,7 @@
 //!    ejection, and home-return ([`scheduler`], [`movement`]).
 //!
 //! Logical shots are parallelized by tiling circuit copies that share the
-//! AOD movement scheme ([`parallelize`], Section II-E), and independent
-//! compilations fan out across threads ([`parallel`]).
+//! AOD movement scheme ([`parallelize`], Section II-E).
 //!
 //! # Performance
 //!
@@ -38,8 +37,9 @@
 //! stage fell 192.7 ms → 52.8 ms (3.7x) in PR 4 and 55.2 ms → 10.4 ms
 //! (5.3x, re-measured same machine) in PR 5 — movement planning itself
 //! 50.8 ms → 6.4 ms — on top of PR 3's 1.22 s → 0.19 s.
-//! `PARALLAX_PROFILE=1` records per-stage and per-scheduler-sub-stage
-//! timers ([`profile`]); the `profile_stages` example prints them for any
+//! Every compile records its four pipeline-stage timers ([`profile`]);
+//! the per-layer scheduler sub-stage timers fill in under
+//! `PARALLAX_TRACE=1`. The `profile_stages` example prints them for any
 //! workload.
 //!
 //! At 1000+ qubits the bottleneck shifts from algorithms to memory
@@ -91,7 +91,6 @@ pub mod discretize;
 pub mod layout_cache;
 pub mod movement;
 pub mod multi_mover;
-pub mod parallel;
 pub mod parallelize;
 pub mod profile;
 pub mod scheduler;
@@ -119,7 +118,6 @@ pub fn register_observability() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(layout_cache::register_cache_metrics);
 }
-pub use parallel::{compile_batch, panic_message, try_compile_batch, BatchJobError};
 pub use parallelize::{replication_plan, sweep_factors, ReplicationPlan};
 pub use scheduler::{schedule_gates, CompileStats, MultiMoverStats, Schedule, ScheduledLayer};
 pub use template::{compiled_template, compiled_template_keyed, template_key, CompiledTemplate};

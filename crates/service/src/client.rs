@@ -355,7 +355,7 @@ fn fmt_us(us: u64) -> String {
 /// `parallax-client stats` prints: job counters, queue gauge, all three
 /// cache layers (per-server result cache, process-wide layout and
 /// compiled-template caches), the sweep/rebind counters, the
-/// `PARALLAX_PROFILE` stage table, and the latency histogram.
+/// stage table, and the latency histogram.
 pub fn render_stats(stats: &Json) -> String {
     let n = |key: &str| stats.get(key).and_then(Json::as_u64).unwrap_or(0);
     let mut out = String::new();
@@ -425,28 +425,17 @@ pub fn render_stats(stats: &Json) -> String {
         }
     }
 
-    if let Some(profile) = stats.get("profile") {
-        // (rendered last: it is empty in the common, unprofiled case)
-        let enabled = profile.get("enabled").and_then(Json::as_bool).unwrap_or(false);
-        let stages = match profile.get("stages") {
-            Some(Json::Arr(stages)) => stages.as_slice(),
-            _ => &[],
-        };
-        let any = stages.iter().any(|s| s.get("calls").and_then(Json::as_u64).unwrap_or(0) > 0);
-        if enabled || any {
-            out.push_str("profile       stage times (cumulative)\n");
-            for s in stages {
-                let name = s.get("stage").and_then(Json::as_str).unwrap_or("?");
-                let g = |k: &str| s.get(k).and_then(Json::as_u64).unwrap_or(0);
-                out.push_str(&format!(
-                    "  {name:<12} calls {:<8} total {:<12} allocs {}\n",
-                    g("calls"),
-                    fmt_us(g("total_us")),
-                    g("allocs")
-                ));
-            }
-        } else {
-            out.push_str("profile       disabled (set PARALLAX_PROFILE=1 on the server)\n");
+    if let Some(Json::Arr(stages)) = stats.get("profile").and_then(|p| p.get("stages")) {
+        out.push_str("profile       stage times (cumulative)\n");
+        for s in stages {
+            let name = s.get("stage").and_then(Json::as_str).unwrap_or("?");
+            let g = |k: &str| s.get(k).and_then(Json::as_u64).unwrap_or(0);
+            out.push_str(&format!(
+                "  {name:<12} calls {:<8} total {:<12} allocs {}\n",
+                g("calls"),
+                fmt_us(g("total_us")),
+                g("allocs")
+            ));
         }
     }
     out.trim_end().to_string()
@@ -503,7 +492,8 @@ mod tests {
         );
         assert!(text.contains("latency       count 1  mean 250.00 ms"), "{text}");
         assert!(text.contains("<= 1.000 s"), "histogram bucket missing:\n{text}");
-        assert!(text.contains("profile"), "{text}");
+        assert!(text.contains("profile       stage times (cumulative)"), "{text}");
+        assert!(text.contains("  placement    calls "), "{text}");
     }
 
     #[test]

@@ -214,8 +214,9 @@ impl Metrics {
         ])
     }
 
-    /// The `PARALLAX_PROFILE` per-stage counters as a `STATS` sub-object
-    /// (all-zero stages when profiling is disabled).
+    /// The per-stage counters as a `STATS` sub-object. The pipeline stages
+    /// always count; the scheduler sub-stages count only compiles that ran
+    /// under span tracing (zeros otherwise).
     pub fn profile_json() -> Json {
         let stages = parallax_core::profile::snapshot()
             .iter()
@@ -228,10 +229,7 @@ impl Metrics {
                 ])
             })
             .collect();
-        Json::obj(vec![
-            ("enabled", Json::Bool(parallax_core::profile::enabled())),
-            ("stages", Json::Arr(stages)),
-        ])
+        Json::obj(vec![("stages", Json::Arr(stages))])
     }
 }
 
@@ -313,7 +311,6 @@ mod tests {
             assert!(mm.get(key).and_then(Json::as_u64).is_some(), "missing multi_mover.{key}");
         }
         let profile = j.get("profile").expect("profile sub-object");
-        assert!(profile.get("enabled").and_then(Json::as_bool).is_some());
         // The four pipeline stages plus the scheduler's four sub-stages.
         let Some(Json::Arr(stages)) = profile.get("stages") else { panic!("profile.stages") };
         assert_eq!(stages.len(), 8);

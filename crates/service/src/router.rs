@@ -119,8 +119,9 @@ struct RouterMetrics {
     forwarded: Vec<Counter>,
     /// Transport failures talking to each shard (after the one retry).
     shard_errors: Vec<Counter>,
-    /// Requests the router answered itself (ping/stats/metrics/rejects).
-    local: Counter,
+    /// Lines the router refused itself: framing rejections, parse errors
+    /// and unroutable submissions (the shard's `bad_requests`).
+    bad_requests: Counter,
 }
 
 impl RouterMetrics {
@@ -141,8 +142,8 @@ impl RouterMetrics {
         Self {
             forwarded: per_shard("parallax_router_forwarded_total"),
             shard_errors: per_shard("parallax_router_shard_errors_total"),
-            local: parallax_trace::counter(
-                "parallax_router_local_answers_total",
+            bad_requests: parallax_trace::counter(
+                "parallax_router_bad_requests_total",
                 &[("instance", &instance)],
             ),
         }
@@ -170,7 +171,7 @@ impl Tier for RouterCore {
     }
 
     fn count_rejected_frame(&self) {
-        self.metrics.local.inc();
+        self.metrics.bad_requests.inc();
     }
 }
 
@@ -257,30 +258,21 @@ impl ShardPool {
 fn route_request(line: &str, core: &RouterCore, pool: &mut ShardPool) -> (String, bool) {
     match parse_request(line) {
         Err(e) => {
-            core.metrics.local.inc();
+            core.metrics.bad_requests.inc();
             (error_response(&e, None), false)
         }
-        Ok(Request::Ping) => {
-            core.metrics.local.inc();
-            (
-                Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("pong", Json::Bool(true)),
-                    ("role", Json::Str("router".into())),
-                    ("uptime_us", Json::Int(core.started.elapsed().as_micros() as u64)),
-                ])
-                .encode(),
-                false,
-            )
-        }
-        Ok(Request::Stats) => {
-            core.metrics.local.inc();
-            (router_stats_response(core), false)
-        }
-        Ok(Request::Metrics) => {
-            core.metrics.local.inc();
-            (listener::metrics_response(), false)
-        }
+        Ok(Request::Ping) => (
+            Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("pong", Json::Bool(true)),
+                ("role", Json::Str("router".into())),
+                ("uptime_us", Json::Int(core.started.elapsed().as_micros() as u64)),
+            ])
+            .encode(),
+            false,
+        ),
+        Ok(Request::Stats) => (router_stats_response(core), false),
+        Ok(Request::Metrics) => (listener::metrics_response(), false),
         Ok(Request::Trace { limit }) => (merged_trace_response(core, pool, limit), false),
         Ok(Request::Shards) => (topology_response(core, pool), false),
         Ok(request @ (Request::Cache(_) | Request::Drain | Request::Shutdown)) => {
@@ -315,7 +307,7 @@ fn route_request(line: &str, core: &RouterCore, pool: &mut ShardPool) -> (String
 /// its span tree with an id the router's merged `TRACE` (and the client's
 /// response echo) can find.
 fn owner(core: &RouterCore, req: &mut SubmitRequest) -> Result<usize, String> {
-    let key = route_key_for(req).inspect_err(|_| core.metrics.local.inc())?;
+    let key = route_key_for(req).inspect_err(|_| core.metrics.bad_requests.inc())?;
     if req.trace.is_none() {
         req.trace = Some(format!("{:016x}", parallax_trace::next_trace_id()));
     }
@@ -367,7 +359,7 @@ fn router_stats_response(core: &RouterCore) -> String {
         ("uptime_us", Json::Int(core.started.elapsed().as_micros() as u64)),
         ("forwarded", per_shard(&core.metrics.forwarded)),
         ("shard_errors", per_shard(&core.metrics.shard_errors)),
-        ("local_answers", Json::Int(core.metrics.local.get())),
+        ("bad_requests", Json::Int(core.metrics.bad_requests.get())),
     ]);
     listener::stats_response(stats)
 }

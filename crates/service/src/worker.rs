@@ -109,8 +109,20 @@ fn run_job(job: &Job, metrics: &Metrics, publish: impl FnOnce(CacheKey, String))
         }
         Err(panic) => {
             Metrics::inc(&metrics.failed);
-            JobOutcome::Failed { error: parallax_core::panic_message(panic) }
+            JobOutcome::Failed { error: panic_message(panic) }
         }
+    }
+}
+
+/// Render a `catch_unwind` payload as text (panics carry `&str` or
+/// `String` in practice).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -157,8 +169,8 @@ mod tests {
 
     #[test]
     fn panicking_compile_is_isolated() {
-        // 9 qubits on a 2x2-site machine: the discretizer's site-assignment
-        // `expect` fires, exercising the worker's catch_unwind path.
+        // 9 qubits on a 2x2-site machine: the atom array's capacity assert
+        // fires, exercising the worker's catch_unwind path.
         let mut b = CircuitBuilder::new(9);
         for i in 0..8u32 {
             b.cx(i, i + 1);
@@ -171,7 +183,12 @@ mod tests {
         let j = Job { circuit, compiler, key, trace_id: 0, reply: tx };
         let metrics = Metrics::default();
         let outcome = run_job(&j, &metrics, |_, _| panic!("must not publish"));
-        assert!(matches!(outcome, JobOutcome::Failed { .. }), "got {outcome:?}");
+        match outcome {
+            JobOutcome::Failed { error } => {
+                assert_eq!(error, "9 qubits exceed the 4 sites of QuEra-256");
+            }
+            other => panic!("expected a failure, got {other:?}"),
+        }
         assert_eq!(metrics.failed.get(), 1);
     }
 }

@@ -44,25 +44,11 @@ impl TestServer {
         }
     }
 
-    /// The front tier's count of lines it refused: a shard's
-    /// `bad_requests`, or a router's `local_answers`, which also counts
-    /// every ping and `STATS` it answered (this read included).
+    /// The front tier's count of lines it refused (`bad_requests` on
+    /// either tier).
     fn rejections(&self) -> u64 {
-        let counter = match self.tier {
-            Tier::Shard => "bad_requests",
-            Tier::Router => "local_answers",
-        };
         let stats = ServiceClient::connect(self.addr()).expect("connect").stats().expect("stats");
-        stats.get(counter).and_then(Json::as_u64).expect("rejection counter")
-    }
-
-    /// How far `routine` pings and `STATS` reads move [`Self::rejections`].
-    fn routine(&self, answers: u64) -> u64 {
-        if self.tier == Tier::Router {
-            answers
-        } else {
-            0
-        }
+        stats.get("bad_requests").and_then(Json::as_u64).expect("rejection counter")
     }
 }
 
@@ -160,10 +146,9 @@ fn oversized_lines_get_a_structured_error_and_resynchronize() {
         assert_eq!(responses.len(), 1, "{tier:?}: {responses:?}");
         assert_structured_error(&responses[0]);
 
-        // Both oversized lines count as refusals (besides the resync ping
-        // and this second read on the router).
+        // Both oversized lines count as refusals; the resync ping does not.
         let refused = server.rejections() - before;
-        assert_eq!(refused, 2 + server.routine(2), "{tier:?}: oversized lines must count");
+        assert_eq!(refused, 2, "{tier:?}: oversized lines must count");
         assert_still_serving(addr);
     }
 }
@@ -190,9 +175,9 @@ fn invalid_utf8_json_and_unknown_ops_are_rejected_without_casualties() {
             assert_structured_error(&responses[0]);
         }
         // Every case counts as one refusal, the framing's non-UTF-8 one
-        // included (besides this second read on the router).
+        // included.
         let refused = server.rejections() - before;
-        assert_eq!(refused, cases.len() as u64 + server.routine(1), "{tier:?}");
+        assert_eq!(refused, cases.len() as u64, "{tier:?}");
         assert_still_serving(server.addr());
     }
 }

@@ -484,3 +484,36 @@ fn metrics_and_trace_ops_work_over_the_wire() {
         .expect("one-point sweep");
     assert_eq!(sweep.trace_id, "e2e-sweep-7");
 }
+
+#[test]
+fn pipeline_stage_counters_run_without_any_env_var() {
+    // A default server, no tracing and no profiling switch: one compile
+    // must still show up in the four pipeline-stage counters of both
+    // `STATS` and `METRICS`.
+    let server = start(ServerConfig::default()).expect("bind");
+    let mut client = ServiceClient::connect(server.addr()).expect("connect");
+    client.submit(submit_for("QFT", 977)).expect("submit");
+
+    let stats = client.stats().expect("stats");
+    let stages = match stats.get("profile").and_then(|p| p.get("stages")) {
+        Some(Json::Arr(stages)) => stages.clone(),
+        other => panic!("STATS carries no profile.stages: {other:?}"),
+    };
+    for name in ["placement", "discretize", "aod_select", "schedule"] {
+        let stage = stages
+            .iter()
+            .find(|s| s.get("stage").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no '{name}' stage in {stages:?}"));
+        let calls = stage.get("calls").and_then(Json::as_u64).unwrap_or(0);
+        let total_us = stage.get("total_us").and_then(Json::as_u64).unwrap_or(0);
+        assert!(calls >= 1 && total_us > 0, "{name}: calls {calls} total_us {total_us}");
+    }
+
+    let text = client.metrics().expect("metrics op");
+    let schedule_ns = text
+        .lines()
+        .find_map(|l| l.strip_prefix("parallax_stage_time_ns_total{stage=\"schedule\"} "))
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no schedule stage time series:\n{text}"));
+    assert!(schedule_ns > 0, "schedule stage time reads 0");
+}

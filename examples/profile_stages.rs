@@ -1,7 +1,8 @@
 //! Per-stage compile profiling for one workload: compiles it N times and
-//! prints the `PARALLAX_PROFILE` stage table (force-enabled, no env var
-//! needed). This is the measurement behind the scheduler-stage numbers in
-//! ROADMAP.md:
+//! prints the stage table. The pipeline stages count on every compile; the
+//! scheduler sub-stage rows count through their spans, so this turns span
+//! tracing on for the process (no env var needed). This is the
+//! measurement behind the scheduler-stage numbers in ROADMAP.md:
 //!
 //! ```text
 //! cargo run --release --example profile_stages -- TFIM 10
@@ -26,8 +27,8 @@ fn main() {
     let config = CompilerConfig { placement, ..CompilerConfig::default() };
     let compiler = ParallaxCompiler::new(MachineSpec::atom_1225(), config);
 
-    // Force profiling on for this process regardless of the env var.
-    profile::force_enable();
+    // Trace so the scheduler sub-stage rows fill in too.
+    parallax_trace::set_enabled(true);
     for _ in 0..samples {
         let r = compiler.compile(&circuit);
         assert_eq!(r.cz_count(), circuit.cz_count());

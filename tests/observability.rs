@@ -23,10 +23,6 @@ use std::sync::Mutex;
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
-    // Profiling latches on its first read. Every test here takes this lock
-    // before compiling, so forcing it on here runs the stage counters beside
-    // the spans for the whole binary (output-neutral like the spans).
-    parallax_core::profile::force_enable();
     TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -138,14 +134,12 @@ fn recent_traces_group_spans_by_request() {
     assert!(tree.events.iter().all(|e| e.trace_id == id_a));
 }
 
-/// One timer per interval: with tracing and profiling both on, each
-/// stage's `parallax_stage_*` counters move by exactly what the ring
-/// recorded for that stage's span — one call per span, and the summed span
-/// durations to the nanosecond.
+/// One timer per interval: with tracing on, each stage's `parallax_stage_*`
+/// counters move by exactly what the ring recorded for that stage's span —
+/// one call per span, and the summed span durations to the nanosecond.
 #[test]
 fn stage_counters_are_a_view_over_the_span_clock() {
     let _lock = trace_lock();
-    assert!(parallax_core::profile::enabled(), "profiling must latch on before any compile");
     let stages = [
         ("placement", "stage.placement"),
         ("discretize", "stage.discretize"),

@@ -3,7 +3,7 @@
 //! schedules, across repeated runs and across thread counts.
 
 use parallax_circuit::{circuit_from_qasm_str, optimize};
-use parallax_core::{compile_batch, CompilationResult, CompilerConfig, ParallaxCompiler};
+use parallax_core::{CompilationResult, CompilerConfig, ParallaxCompiler};
 use parallax_graphine::{GraphineLayout, PlacementConfig};
 use parallax_hardware::MachineSpec;
 use parallax_sim::parallax_schedule_fidelity;
@@ -57,14 +57,30 @@ fn batch_compilation_matches_sequential_at_any_thread_count() {
         .iter()
         .map(|n| optimize(&parallax_workloads::benchmark(n).unwrap().circuit(2)))
         .collect();
-    let cfg = CompilerConfig::quick(2);
-    let sequential = compile_batch(&jobs, machine, &cfg, 1);
+    let compiler = ParallaxCompiler::shared(machine, CompilerConfig::quick(2));
+    let sequential: Vec<_> = jobs.iter().map(|c| compiler.compile(c)).collect();
     for threads in [2usize, 4, 8] {
-        let parallel = compile_batch(&jobs, machine, &cfg, threads);
-        assert_eq!(sequential.len(), parallel.len());
-        for (i, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-            assert_same_compilation(a, b, &format!("job {i} at {threads} threads"));
-        }
+        // Every thread compiles every job on the one shared compiler, in a
+        // thread-dependent order, so the threads race on its caches.
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (compiler, jobs) = (&compiler, &jobs);
+                    scope.spawn(move || {
+                        (0..jobs.len())
+                            .map(|k| (k + t) % jobs.len())
+                            .map(|i| (i, compiler.compile(&jobs[i])))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for (t, worker) in workers.into_iter().enumerate() {
+                for (i, result) in worker.join().expect("compile thread panicked") {
+                    let what = format!("job {i} on thread {t} of {threads}");
+                    assert_same_compilation(&sequential[i], &result, &what);
+                }
+            }
+        });
     }
 }
 

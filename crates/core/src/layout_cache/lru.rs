@@ -158,8 +158,10 @@ impl<K: Clone + Eq + Hash, V> WeightedLru<K, V> {
         }
     }
 
-    /// Every cached entry, most recently used first.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    /// Every cached entry, most recently used first; the tests check this
+    /// order against a naive model.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         let mut i = self.head;
         std::iter::from_fn(move || {
             let slot = self.slots.get(i)?;

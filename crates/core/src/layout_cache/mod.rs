@@ -38,18 +38,12 @@
 //! * [`lru`] — the shared size-aware LRU and its counters;
 //! * this module — the **layout** cache plus the shared budget plumbing
 //!   ([`resize`], `PARALLAX_LAYOUT_CACHE`, [`register_cache_metrics`]);
-//! * [`template`] — the compiled-**template** cache for variational sweeps;
-//! * [`persist`] — the **disk tier**: a content-addressed, versioned,
-//!   corruption-tolerant file store ([`persist::DiskStore`]) that gives any
-//!   in-memory cache layer a restart-surviving life (the service's result
-//!   cache rides it today; template persistence is the designed next user).
+//! * [`template`] — the compiled-**template** cache for variational sweeps.
 
 pub mod lru;
-pub mod persist;
 pub mod template;
 
 pub use lru::{CacheStats, Oversized, WeightedLru};
-pub use persist::{DiskStore, DISK_FORMAT_VERSION};
 pub use template::{
     lookup_template, record_template, template_cache_stats, TemplateCache, TemplateKey,
 };

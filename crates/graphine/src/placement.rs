@@ -38,8 +38,8 @@ impl PlacementConfig {
 
     /// Stable fingerprint over every knob that steers the annealed result
     /// (floats by bit pattern). The trailing constant `1` stands where a
-    /// restart-stream count used to be hashed, so layout, template, result
-    /// and disk keys written before that knob was removed stay valid.
+    /// restart-stream count used to be hashed, so layout, template and
+    /// result cache keys stay what they were before that knob was removed.
     pub fn fingerprint(&self) -> u64 {
         let mut h = WordHasher::new();
         h.word(self.seed)

@@ -10,7 +10,6 @@
 //! parallax-client [--addr HOST:PORT] shards
 //! parallax-client [--addr HOST:PORT] cache-flush
 //! parallax-client [--addr HOST:PORT] cache-resize BYTES
-//! parallax-client [--addr HOST:PORT] cache-persist
 //! parallax-client [--addr HOST:PORT] submit <file.qasm|-> \
 //!     [--seed N] [--machine quera|atom] [--quick] [--no-return-home]
 //!     [--priority 0..9] [--aod-dim N] [--trace-id STR]
@@ -46,7 +45,7 @@ fn die(msg: &str) -> ! {
     eprintln!(
         "usage: parallax-client [--addr HOST:PORT] \
          <ping|stats|metrics|trace|shutdown|drain|shards|\n\
-         cache-flush|cache-resize|cache-persist|submit|sweep> ...\n\
+         cache-flush|cache-resize|submit|sweep> ...\n\
          submit: <file.qasm|-> | --workload NAME, plus [--seed N] [--machine quera|atom]\n\
          [--quick] [--no-return-home] [--priority 0..9] [--aod-dim N] [--trace-id STR]\n\
          sweep: submit arguments plus [--points N] [--param-seed S]\n\
@@ -257,7 +256,6 @@ fn main() {
         "drain" => client.drain().map(|v| v.encode()),
         "shards" => client.shards().map(|v| render_shards(&v)),
         "cache-flush" => client.cache_flush().map(|v| v.encode()),
-        "cache-persist" => client.cache_persist().map(|v| v.encode()),
         "cache-resize" => {
             let bytes = path
                 .as_deref()

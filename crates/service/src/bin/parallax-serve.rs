@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! parallax-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache BYTES]
-//!                [--disk-cache DIR] [--enqueue-timeout-ms N]
+//!                [--enqueue-timeout-ms N]
 //! ```
 //!
 //! Binds the address (default `127.0.0.1:7878`), prints the resolved
@@ -15,7 +15,7 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: parallax-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache BYTES] \
-         [--disk-cache DIR] [--enqueue-timeout-ms N]"
+         [--enqueue-timeout-ms N]"
     );
     std::process::exit(2)
 }
@@ -35,10 +35,6 @@ fn main() {
             "--workers" => config.workers = num(it.next(), "--workers"),
             "--queue" => config.queue_capacity = num(it.next(), "--queue").max(1),
             "--cache" => config.cache_capacity = num(it.next(), "--cache"),
-            "--disk-cache" => {
-                config.disk_cache_dir =
-                    Some(it.next().cloned().unwrap_or_else(|| die("--disk-cache expects DIR")))
-            }
             "--enqueue-timeout-ms" => {
                 config.enqueue_timeout_ms = num(it.next(), "--enqueue-timeout-ms") as u64
             }
@@ -51,15 +47,11 @@ fn main() {
         Err(e) => die(&format!("cannot start on {}: {e}", config.addr)),
     };
     println!(
-        "parallax-serve listening on {} ({} workers, queue {}, cache {} bytes{})",
+        "parallax-serve listening on {} ({} workers, queue {}, cache {} bytes)",
         server.addr(),
         parallax_service::worker::effective_workers(config.workers),
         config.queue_capacity,
-        config.cache_capacity,
-        match &config.disk_cache_dir {
-            Some(dir) => format!(", disk cache {dir}"),
-            None => String::new(),
-        }
+        config.cache_capacity
     );
     // Block until a client drives the shutdown command, then finish the
     // drain (the handle's Drop would also drain if we exited otherwise).

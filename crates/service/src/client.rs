@@ -289,21 +289,15 @@ impl ServiceClient {
         self.roundtrip(&Request::Shutdown)
     }
 
-    /// Admin: drop every in-memory result-cache entry (disk untouched).
-    /// Against a router this fans out to every shard.
+    /// Admin: drop every result-cache entry. Against a router this fans
+    /// out to every shard.
     pub fn cache_flush(&mut self) -> Result<Json, ClientError> {
         self.roundtrip(&Request::Cache(CacheOp::Flush))
     }
 
-    /// Admin: change the in-memory result-cache byte budget (0 disables).
+    /// Admin: change the result-cache byte budget (0 disables).
     pub fn cache_resize(&mut self, bytes: usize) -> Result<Json, ClientError> {
         self.roundtrip(&Request::Cache(CacheOp::Resize { bytes }))
-    }
-
-    /// Admin: write every in-memory result-cache entry through to the
-    /// disk tier (errors if the server runs without one).
-    pub fn cache_persist(&mut self) -> Result<Json, ClientError> {
-        self.roundtrip(&Request::Cache(CacheOp::Persist))
     }
 
     /// Admin: stop accepting new submissions and finish accepted work,
@@ -373,22 +367,6 @@ pub fn render_stats(stats: &Json) -> String {
     ));
     out.push_str(&format!("queue         depth {}/{}\n", n("queue_depth"), n("queue_capacity")));
     out.push_str(&format!("result cache  {}\n", cache_layer_line(stats.get("cache"))));
-    if let Some(disk) = stats.get("cache").and_then(|c| c.get("disk")) {
-        let line = if disk.get("enabled").and_then(Json::as_bool) == Some(true) {
-            let g = |k: &str| disk.get(k).and_then(Json::as_u64).unwrap_or(0);
-            format!(
-                "len {}  hits {}  misses {}  stores {}  store_errors {}",
-                g("len"),
-                g("hits"),
-                g("misses"),
-                g("stores"),
-                g("store_errors")
-            )
-        } else {
-            "disabled (start the server with --disk-cache DIR)".to_string()
-        };
-        out.push_str(&format!("disk cache    {line}\n"));
-    }
     out.push_str(&format!("layout cache  {}\n", cache_layer_line(stats.get("layout_cache"))));
     out.push_str(&format!("tmpl cache    {}\n", cache_layer_line(stats.get("template_cache"))));
     let rebind_mean_ns = n("rebind_ns").checked_div(n("template_cache_hits")).unwrap_or(0);
@@ -459,17 +437,6 @@ mod tests {
             ("hits", Json::Int(1)),
             ("misses", Json::Int(2)),
             ("evictions", Json::Int(0)),
-            (
-                "disk",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(true)),
-                    ("len", Json::Int(5)),
-                    ("hits", Json::Int(3)),
-                    ("misses", Json::Int(1)),
-                    ("stores", Json::Int(5)),
-                    ("store_errors", Json::Int(0)),
-                ]),
-            ),
         ]);
         Metrics::inc(&m.sweep_points);
         Metrics::inc(&m.sweep_points);
@@ -480,10 +447,6 @@ mod tests {
         assert!(text.contains("jobs          submitted 1  completed 1"), "{text}");
         assert!(text.contains("queue         depth 1/64"), "{text}");
         assert!(text.contains("result cache  len 2/64  hits 1  misses 2"), "{text}");
-        assert!(
-            text.contains("disk cache    len 5  hits 3  misses 1  stores 5  store_errors 0"),
-            "{text}"
-        );
         assert!(text.contains("layout cache  len "), "layout-cache layer missing:\n{text}");
         assert!(text.contains("tmpl cache    len "), "template-cache layer missing:\n{text}");
         assert!(

@@ -4,9 +4,9 @@
 //! subsystem: a multi-threaded TCP server that accepts OpenQASM (or
 //! Table III workload) jobs over a newline-delimited JSON protocol,
 //! schedules them through a bounded priority queue onto a worker pool,
-//! and answers repeat submissions from a content-addressed LRU result
-//! cache — without ever recompiling. Everything is `std`-only: the wire
-//! protocol, JSON codec, queue, cache, and metrics are hand-rolled
+//! and answers repeat submissions from a content-addressed, in-memory LRU
+//! result cache — without ever recompiling. Everything is `std`-only: the
+//! wire protocol, JSON codec, queue, cache, and metrics are hand-rolled
 //! because the build environment has no registry access.
 //!
 //! ## Architecture
@@ -83,7 +83,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod disk;
 pub mod json;
 pub mod listener;
 pub mod metrics;
@@ -97,8 +96,8 @@ pub use cache::{CacheKey, ResultCache};
 pub use client::{
     render_stats, ClientError, ServiceClient, SubmitReply, SweepPointReply, SweepReply,
 };
-pub use disk::DiskCache;
 pub use json::{Json, JsonError};
+pub use listener::MAX_LINE_BYTES;
 pub use metrics::{LatencyHistogram, Metrics};
 pub use protocol::{
     circuit_content_hash, compile_payload, encode_request, parse_request, schedule_digest, Request,

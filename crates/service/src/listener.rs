@@ -16,9 +16,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// The default cap on one request line, bytes: a shard's default and the
-/// router's only value.
-pub(crate) const DEFAULT_MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
+/// The cap on one request line, bytes, on both tiers. An oversized line is
+/// consumed (to resynchronize on the next newline) and answered with a
+/// structured error instead of being buffered without bound — one hostile
+/// connection cannot balloon the process's memory.
+pub const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// What a tier plugs into the shared connection layer.
 pub(crate) trait Tier: Send + Sync + 'static {
@@ -100,23 +102,18 @@ impl Drop for Handle {
 }
 
 /// Serve `tier` on a bound `listener`, capping request lines at
-/// `max_line_bytes`; returns once the accept thread runs.
-pub(crate) fn serve<T: Tier>(
-    listener: TcpListener,
-    tier: Arc<T>,
-    max_line_bytes: usize,
-) -> std::io::Result<Handle> {
+/// [`MAX_LINE_BYTES`]; returns once the accept thread runs.
+pub(crate) fn serve<T: Tier>(listener: TcpListener, tier: Arc<T>) -> std::io::Result<Handle> {
     let shared = Arc::new(Listener {
         addr: listener.local_addr()?,
         exiting: AtomicBool::new(false),
         exit_requested: Mutex::new(false),
         exit: Condvar::new(),
     });
-    let cap = max_line_bytes.max(1);
     let (accept_shared, accept_tier) = (shared.clone(), tier.clone());
     let accept_thread = std::thread::Builder::new()
         .name(format!("{}-accept", T::NAME))
-        .spawn(move || accept_loop(&listener, &accept_shared, &accept_tier, cap))?;
+        .spawn(move || accept_loop(&listener, &accept_shared, &accept_tier))?;
     Ok(Handle {
         listener: shared,
         stop: Box::new(move || tier.stop()),
@@ -124,7 +121,7 @@ pub(crate) fn serve<T: Tier>(
     })
 }
 
-fn accept_loop<T: Tier>(listener: &TcpListener, shared: &Arc<Listener>, tier: &Arc<T>, cap: usize) {
+fn accept_loop<T: Tier>(listener: &TcpListener, shared: &Arc<Listener>, tier: &Arc<T>) {
     for stream in listener.incoming() {
         if shared.exiting.load(Ordering::SeqCst) {
             break;
@@ -133,11 +130,11 @@ fn accept_loop<T: Tier>(listener: &TcpListener, shared: &Arc<Listener>, tier: &A
         let (shared, tier) = (shared.clone(), tier.clone());
         let _ = std::thread::Builder::new()
             .name(format!("{}-conn", T::NAME))
-            .spawn(move || handle_connection(stream, &shared, &*tier, cap));
+            .spawn(move || handle_connection(stream, &shared, &*tier));
     }
 }
 
-fn handle_connection<T: Tier>(stream: TcpStream, shared: &Listener, tier: &T, cap: usize) {
+fn handle_connection<T: Tier>(stream: TcpStream, shared: &Listener, tier: &T) {
     // Interactive request/response over tiny messages: Nagle's algorithm
     // would add tens of milliseconds per roundtrip, so send each response
     // as one immediate write.
@@ -146,7 +143,7 @@ fn handle_connection<T: Tier>(stream: TcpStream, shared: &Listener, tier: &T, ca
     let mut writer = stream;
     let mut reader = BufReader::new(reader_stream);
     let mut conn = tier.open();
-    while let Some(line) = read_line_capped(&mut reader, cap) {
+    while let Some(line) = read_line_capped(&mut reader, MAX_LINE_BYTES) {
         let (mut response, was_shutdown) = match line {
             Err(e) => {
                 tier.count_rejected_frame();

@@ -13,7 +13,6 @@
 //! {"cmd":"shutdown"}
 //! {"cmd":"cache","op":"flush"}
 //! {"cmd":"cache","op":"resize","bytes":8388608}
-//! {"cmd":"cache","op":"persist"}
 //! {"cmd":"drain"}
 //! {"cmd":"shards"}
 //! ```
@@ -99,18 +98,16 @@ pub struct SweepRequest {
     pub params: Vec<Vec<f64>>,
 }
 
-/// An admin operation on the result-cache tier (`{"cmd":"cache",...}`).
+/// An admin operation on the result cache (`{"cmd":"cache",...}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOp {
-    /// Drop every in-memory entry (the disk tier is untouched).
+    /// Drop every entry.
     Flush,
-    /// Change the in-memory byte budget at runtime (0 disables).
+    /// Change the byte budget at runtime (0 disables).
     Resize {
         /// New capacity in payload bytes.
         bytes: usize,
     },
-    /// Write every in-memory entry through to the disk tier.
-    Persist,
 }
 
 /// A parsed request line.
@@ -133,7 +130,7 @@ pub enum Request {
     Ping,
     /// Drain in-flight work and stop accepting jobs.
     Shutdown,
-    /// Admin: manage the result cache (flush / resize / persist).
+    /// Admin: manage the result cache (flush / resize).
     Cache(CacheOp),
     /// Admin: stop accepting new submissions and finish accepted work,
     /// but keep the process alive for stats/metrics/admin traffic.
@@ -176,7 +173,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let op = v.get("op").and_then(Json::as_str).ok_or("cache needs a string 'op' field")?;
             match op {
                 "flush" => Ok(Request::Cache(CacheOp::Flush)),
-                "persist" => Ok(Request::Cache(CacheOp::Persist)),
                 "resize" => {
                     let bytes = v
                         .get("bytes")
@@ -184,7 +180,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         .ok_or("cache resize needs a non-negative 'bytes' field")?;
                     Ok(Request::Cache(CacheOp::Resize { bytes: bytes as usize }))
                 }
-                other => Err(format!("unknown cache op '{other}' (flush|resize|persist)")),
+                other => Err(format!("unknown cache op '{other}' (flush|resize)")),
             }
         }
         "submit" => Ok(Request::Submit(Box::new(parse_submit_fields(&v)?))),
@@ -431,7 +427,6 @@ pub fn encode_request(request: &Request) -> String {
         Request::Shards => "{\"cmd\":\"shards\"}".to_string(),
         Request::Cache(op) => match op {
             CacheOp::Flush => "{\"cmd\":\"cache\",\"op\":\"flush\"}".to_string(),
-            CacheOp::Persist => "{\"cmd\":\"cache\",\"op\":\"persist\"}".to_string(),
             CacheOp::Resize { bytes } => {
                 format!("{{\"cmd\":\"cache\",\"op\":\"resize\",\"bytes\":{bytes}}}")
             }
@@ -532,8 +527,8 @@ mod tests {
             Request::Cache(CacheOp::Flush)
         );
         assert_eq!(
-            parse_request("{\"cmd\":\"cache\",\"op\":\"persist\"}").unwrap(),
-            Request::Cache(CacheOp::Persist)
+            parse_request("{\"cmd\":\"cache\",\"op\":\"persist\"}").unwrap_err(),
+            "unknown cache op 'persist' (flush|resize)"
         );
         assert_eq!(
             parse_request("{\"cmd\":\"cache\",\"op\":\"resize\",\"bytes\":4096}").unwrap(),
@@ -660,7 +655,6 @@ mod tests {
             Request::Drain,
             Request::Shards,
             Request::Cache(CacheOp::Flush),
-            Request::Cache(CacheOp::Persist),
             Request::Cache(CacheOp::Resize { bytes: 1 << 20 }),
             Request::Submit(Box::new(SubmitRequest {
                 source: SubmitSource::Qasm("OPENQASM 2.0;\nqreg q[1];\n".into()),

@@ -9,8 +9,8 @@
 //! `(circuit hash, machine+config fingerprint)` cache key onto a
 //! consistent-hash ring, and relays the request to the owning shard. Every
 //! request for one content address therefore lands on the same shard,
-//! keeping that shard's in-memory and disk cache tiers hot for its slice
-//! of the keyspace; adding a shard remaps only ~1/N of the ring.
+//! keeping that shard's result cache hot for its slice of the keyspace;
+//! adding a shard remaps only ~1/N of the ring.
 //!
 //! Responses are relayed **verbatim** — the router never re-encodes a
 //! shard's payload, so the byte-identical-to-direct-compile property the
@@ -196,7 +196,7 @@ pub fn start_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
         connect_timeout: Duration::from_millis(config.connect_timeout_ms.max(1)),
         started: Instant::now(),
     };
-    listener::serve(listener, Arc::new(core), listener::DEFAULT_MAX_LINE_BYTES)
+    listener::serve(listener, Arc::new(core))
 }
 
 /// One client connection's links to the shards, dialed lazily. Each client
@@ -209,7 +209,7 @@ struct ShardPool {
 impl ShardPool {
     /// One request/response exchange with shard `idx`. A transport failure
     /// drops the pooled connection and retries once on a fresh dial — a
-    /// shard that restarted (the disk-tier warm-restart flow) is picked
+    /// shard restarted under the router at the same address is picked
     /// back up transparently.
     fn exchange(&mut self, core: &RouterCore, idx: usize, line: &str) -> Result<String, String> {
         let addr = &core.shards[idx];

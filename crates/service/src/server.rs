@@ -5,15 +5,16 @@
 //! strictly in order (so responses are index-stable per connection);
 //! concurrency comes from many connections feeding the shared worker pool
 //! through the bounded priority queue. Submissions whose content address
-//! is already cached are answered inline without touching the queue.
+//! is in the in-memory result cache are answered inline without touching
+//! the queue; every other submission compiles. The cache lives and dies
+//! with the process.
 //!
 //! Shutdown (the `SHUTDOWN` command or [`ServerHandle::shutdown`]) flips
 //! the server to draining: new submissions are refused, the queue closes,
 //! and the caller blocks until every *accepted* job has compiled and
 //! replied — nothing accepted is ever dropped.
 
-use crate::cache::{insert_payload, CacheKey, ResultCache};
-use crate::disk::DiskCache;
+use crate::cache::{CacheKey, ResultCache};
 use crate::json::Json;
 use crate::listener::{self, span_trees, trace_response, Handle, Tier};
 use crate::metrics::{cache_fields, Metrics};
@@ -42,19 +43,9 @@ pub struct ServerConfig {
     /// Result cache budget in **payload bytes** (0 disables caching). A
     /// giant schedule is charged what it costs; see [`ResultCache`].
     pub cache_capacity: usize,
-    /// Directory for the disk-backed result-cache tier (`None` disables).
-    /// Payloads written here survive restarts: a fresh process pointed at
-    /// the same directory answers previously-seen keys without
-    /// recompiling.
-    pub disk_cache_dir: Option<String>,
     /// How long a submission may wait for queue space before it is
     /// rejected with a `queue full` error (0 = reject immediately).
     pub enqueue_timeout_ms: u64,
-    /// Hard cap on one request line's length, bytes. An oversized line is
-    /// consumed (to resynchronize on the next newline) and answered with a
-    /// structured error instead of being buffered without bound — one
-    /// hostile connection cannot balloon the server's memory.
-    pub max_line_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -64,9 +55,7 @@ impl Default for ServerConfig {
             workers: 0,
             queue_capacity: 64,
             cache_capacity: 8 * 1024 * 1024,
-            disk_cache_dir: None,
             enqueue_timeout_ms: 1000,
-            max_line_bytes: listener::DEFAULT_MAX_LINE_BYTES,
         }
     }
 }
@@ -75,11 +64,8 @@ impl Default for ServerConfig {
 pub struct ServiceShared {
     /// The bounded priority job queue.
     pub queue: JobQueue<Job>,
-    /// Content-addressed result cache (in-memory tier, byte-budgeted).
+    /// Content-addressed result cache (byte-budgeted).
     pub cache: Mutex<ResultCache>,
-    /// Restart-surviving disk tier, when configured. Probed on an
-    /// in-memory miss; compiled payloads are written through.
-    pub disk: Option<DiskCache>,
     /// Live counters.
     pub metrics: Metrics,
     /// Recent (internal span id → client-supplied trace id) pairs, so the
@@ -110,25 +96,10 @@ impl ServiceShared {
         tags.iter().rev().find(|(n, _)| *n == num).map(|(_, t)| t.clone())
     }
 
-    /// Cache counters as the `STATS` sub-object. `capacity`/`weight` are
-    /// payload bytes; the `disk` sub-object reports the restart-surviving
-    /// tier (all-zero `len`/counters when no disk dir is configured, so
-    /// the snapshot shape is stable either way).
+    /// Cache counters as the `STATS` sub-object; `capacity`/`weight` are
+    /// payload bytes.
     fn cache_json(&self) -> Json {
-        let stats = self.cache.lock().expect("cache lock").stats();
-        let d = self.disk.as_ref();
-        let count = |f: fn(&DiskCache) -> u64| Json::Int(d.map_or(0, f));
-        let disk = Json::obj(vec![
-            ("enabled", Json::Bool(d.is_some())),
-            ("len", count(|d| d.len() as u64)),
-            ("hits", count(|d| d.hits.get())),
-            ("misses", count(|d| d.misses.get())),
-            ("stores", count(|d| d.stores.get())),
-            ("store_errors", count(|d| d.store_errors.get())),
-        ]);
-        let mut fields = cache_fields(stats);
-        fields.push(("disk", disk));
-        Json::obj(fields)
+        Json::obj(cache_fields(self.cache.lock().expect("cache lock").stats()))
     }
 }
 
@@ -152,20 +123,15 @@ struct ServerCore {
 }
 
 impl ServerCore {
-    fn new(config: &ServerConfig) -> std::io::Result<Self> {
-        let disk = match &config.disk_cache_dir {
-            Some(dir) => Some(DiskCache::open(dir)?),
-            None => None,
-        };
+    fn new(config: &ServerConfig) -> Self {
         let shared = Arc::new(ServiceShared {
             queue: JobQueue::new(config.queue_capacity),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            disk,
             metrics: Metrics::default(),
             trace_tags: Mutex::new(std::collections::VecDeque::new()),
         });
         let workers = spawn_workers(effective_workers(config.workers), shared.clone());
-        Ok(Self {
+        Self {
             shared,
             accepting: AtomicBool::new(true),
             workers: Mutex::new(Some(workers)),
@@ -173,7 +139,7 @@ impl ServerCore {
             drained: Condvar::new(),
             enqueue_timeout: Duration::from_millis(config.enqueue_timeout_ms),
             started: Instant::now(),
-        })
+        }
     }
 
     /// Drive (or wait for) the graceful drain: refuse new jobs, close the
@@ -231,8 +197,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // metrics registry before the first `METRICS` request can arrive.
     parallax_core::register_observability();
     let listener = TcpListener::bind(&config.addr)?;
-    let core = ServerCore::new(&config)?;
-    listener::serve(listener, Arc::new(core), config.max_line_bytes)
+    listener::serve(listener, Arc::new(ServerCore::new(&config)))
 }
 
 /// Dispatch one request line to its handler; always returns one response
@@ -283,10 +248,9 @@ fn handle_request(line: &str, core: &ServerCore) -> (String, bool) {
     }
 }
 
-/// The admin `CACHE` ops: flush the in-memory tier, resize its byte
-/// budget, or persist it to disk. Every response carries the post-op
-/// cache snapshot so the admin sees the effect without a second round
-/// trip.
+/// The admin `CACHE` ops: flush the result cache or resize its byte
+/// budget. Every response carries the post-op cache snapshot so the admin
+/// sees the effect without a second round trip.
 fn handle_cache_op(op: CacheOp, core: &ServerCore) -> String {
     let shared = &core.shared;
     let mut pairs = vec![("ok", Json::Bool(true))];
@@ -298,24 +262,6 @@ fn handle_cache_op(op: CacheOp, core: &ServerCore) -> String {
         CacheOp::Resize { bytes } => {
             shared.cache.lock().expect("cache lock").set_capacity(bytes);
             pairs.push(("resized", Json::Int(bytes as u64)));
-        }
-        CacheOp::Persist => {
-            let Some(disk) = &shared.disk else {
-                return error_response(
-                    "no disk cache configured (start the server with --disk-cache DIR)",
-                    None,
-                );
-            };
-            // Copy the entries out, then write them with the lock released:
-            // each store fsyncs, and submits and workers probe this cache.
-            let entries: Vec<(CacheKey, String)> = {
-                let cache = shared.cache.lock().expect("cache lock");
-                cache.iter().map(|(key, payload)| (*key, payload.clone())).collect()
-            };
-            for (key, payload) in &entries {
-                disk.store(key, payload);
-            }
-            pairs.push(("persisted", Json::Int(entries.len() as u64)));
         }
     }
     pairs.push(("cache", shared.cache_json()));
@@ -371,18 +317,6 @@ fn handle_submit(req: &SubmitRequest, core: &ServerCore) -> String {
         let response = ok_response(req.id, &trace, true, &payload, arrived);
         shared.metrics.latency.record(arrived.elapsed().as_micros() as u64);
         return response;
-    }
-    // Memory missed — probe the restart-surviving disk tier. A hit is
-    // promoted into memory (warming the fresh process for its keyspace)
-    // and served as cached, byte-identical to the compile that wrote it.
-    if let Some(disk) = &shared.disk {
-        if let Some(payload) = disk.load(&key) {
-            insert_payload(&mut shared.cache.lock().expect("cache lock"), key, payload.clone());
-            Metrics::inc(&shared.metrics.cache_hits);
-            let response = ok_response(req.id, &trace, true, &payload, arrived);
-            shared.metrics.latency.record(arrived.elapsed().as_micros() as u64);
-            return response;
-        }
     }
 
     let (reply_tx, reply_rx) = mpsc::channel();
@@ -584,9 +518,9 @@ mod tests {
             enqueue_timeout_ms: 50,
             ..Default::default()
         };
-        let core = Arc::new(ServerCore::new(&config).expect("server core"));
+        let core = Arc::new(ServerCore::new(&config));
         let listener = TcpListener::bind(&config.addr).expect("bind ephemeral port");
-        (listener::serve(listener, core.clone(), config.max_line_bytes).expect("serve"), core)
+        (listener::serve(listener, core.clone()).expect("serve"), core)
     }
 
     fn submit_line(workload: &str, seed: u64) -> String {

@@ -80,11 +80,6 @@ pub fn spawn_workers(count: usize, shared: Arc<ServiceShared>) -> Vec<JoinHandle
 fn worker_loop(shared: &ServiceShared) {
     while let Some(job) = shared.queue.pop() {
         let outcome = run_job(&job, &shared.metrics, |key, payload| {
-            // Write-through: the disk tier gets every compiled payload, so
-            // a restarted process answers this key without recompiling.
-            if let Some(disk) = &shared.disk {
-                disk.store(&key, &payload);
-            }
             insert_payload(&mut shared.cache.lock().expect("cache lock"), key, payload);
         });
         // A dropped receiver (client went away mid-compile) is fine; the

@@ -6,13 +6,11 @@
 //! 1. **Equivalence** — a router fronting two shards serves byte-identical
 //!    payloads to direct in-process compilation, under 8 concurrent
 //!    clients.
-//! 2. **Restart survival** — a shard killed and restarted against the
-//!    same `--disk-cache` directory answers a previously-seen key from
-//!    the disk tier (disk-hit counter > 0) without recompiling, byte
-//!    identically.
-//! 3. **Corruption tolerance** — truncated or garbage cache files degrade
-//!    to structured misses (the shard recompiles and still answers
-//!    correctly), never a panic.
+//! 2. **Restart pickup** — a shard killed and relaunched at the same
+//!    address is redialed by the router on the same client connection,
+//!    with no shard error and a cold, byte-identical answer.
+//! 3. **Admin fan-out** — flush, resize and `SHUTDOWN` sent to the router
+//!    reach every shard; a flushed repeat recompiles.
 
 use parallax_service::{compile_payload, Json, ServiceClient, SubmitRequest, SubmitSource};
 use std::io::{BufRead, BufReader, Read};
@@ -121,12 +119,6 @@ fn direct_payload(req: &SubmitRequest) -> String {
     compile_payload(&compiler.compile(&circuit)).encode()
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("parallax-fabric-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn router_with_two_shard_processes_matches_direct_compilation() {
     let shard_a = Daemon::serve(&[]);
@@ -208,163 +200,65 @@ fn router_with_two_shard_processes_matches_direct_compilation() {
 }
 
 #[test]
-fn restarted_shard_serves_previous_results_from_the_disk_tier() {
-    let dir = temp_dir("restart");
-    let dir_str = dir.to_str().expect("utf8 temp dir").to_string();
+fn router_picks_up_a_restarted_shard() {
+    let shard = Daemon::serve(&[]);
+    let old_addr = shard.addr.to_string();
+    let router = Daemon::route(&[shard.addr]);
+    let mut client = ServiceClient::connect(router.addr).expect("connect");
     let req = submit_for("ADD", 90_001);
+    let want = direct_payload(&req);
+    let first = client.submit(req.clone()).expect("submit before the restart");
+    assert_eq!(first.result.encode(), want);
 
-    // First life: compile cold, written through to disk.
-    let shard = Daemon::serve(&["--disk-cache", &dir_str]);
-    let mut client = ServiceClient::connect(shard.addr).expect("connect");
-    let first = client.submit(req.clone()).expect("cold submit");
-    assert!(!first.cached, "first life compiles cold");
-    let stats = client.stats().expect("stats");
-    let disk = stats.get("cache").and_then(|c| c.get("disk")).expect("disk sub-object");
-    assert_eq!(disk.get("enabled").and_then(Json::as_bool), Some(true));
-    assert!(disk.get("stores").and_then(Json::as_u64).unwrap() >= 1, "write-through: {stats:?}");
-    client.shutdown().expect("drain first life");
+    // Kill the shard without a drain, leaving the router's pooled link to
+    // it dead, and relaunch it at the same address (the last `--addr`
+    // wins; the listener binds with SO_REUSEADDR).
+    drop(shard);
+    let shard = Daemon::serve(&["--addr", &old_addr]);
+    assert_eq!(shard.addr.to_string(), old_addr);
+
+    // The same client connection: the router must redial, not fail.
+    let revived = client.submit(req).expect("the router must redial the restarted shard");
+    assert!(!revived.cached, "a restarted shard starts with an empty result cache");
+    assert_eq!(revived.result.encode(), want, "and recompiles byte-identically");
+    let stats = client.stats().expect("router stats");
+    let errors: Vec<u64> = match stats.get("shard_errors") {
+        Some(Json::Arr(a)) => a.iter().filter_map(Json::as_u64).collect(),
+        other => panic!("missing shard_errors counters: {other:?}"),
+    };
+    assert_eq!(errors, [0], "the retry must absorb the dead link: {stats:?}");
+
+    let drained = client.shutdown().expect("fabric shutdown");
+    assert_eq!(drained.get("shards_ok").and_then(Json::as_u64), Some(1));
     drop(client);
+    router.wait();
     shard.wait();
-
-    // Second life, same directory: the in-memory cache is gone, but the
-    // disk tier answers without recompiling.
-    let shard = Daemon::serve(&["--disk-cache", &dir_str]);
-    let mut client = ServiceClient::connect(shard.addr).expect("connect");
-    let revived = client.submit(req.clone()).expect("warm-restart submit");
-    assert!(revived.cached, "restarted shard must answer from the disk tier");
-    assert_eq!(
-        revived.result.encode(),
-        first.result.encode(),
-        "disk-served payload must be byte-identical to the compile that wrote it"
-    );
-    assert_eq!(revived.result.encode(), direct_payload(&req), "and to a direct compile");
-    let stats = client.stats().expect("stats");
-    let disk = stats.get("cache").and_then(|c| c.get("disk")).expect("disk sub-object");
-    assert!(
-        disk.get("hits").and_then(Json::as_u64).unwrap() >= 1,
-        "the disk-hit counter must attest the tier served it: {stats:?}"
-    );
-    assert_eq!(
-        stats.get("completed").and_then(Json::as_u64),
-        Some(0),
-        "nothing may recompile on a disk hit"
-    );
-
-    // The hit was promoted into memory: a repeat stays a hit without
-    // another disk probe.
-    let before = disk.get("hits").and_then(Json::as_u64).unwrap();
-    let repeat = client.submit(req).expect("promoted repeat");
-    assert!(repeat.cached);
-    let stats = client.stats().expect("stats");
-    let after = stats
-        .get("cache")
-        .and_then(|c| c.get("disk"))
-        .and_then(|d| d.get("hits"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert_eq!(before, after, "memory answers the promoted key; disk is not re-probed");
-
-    client.shutdown().expect("drain second life");
-    drop(client);
-    shard.wait();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn corrupt_disk_entries_degrade_to_misses_never_a_panic() {
-    let dir = temp_dir("corrupt");
-    let dir_str = dir.to_str().expect("utf8 temp dir").to_string();
-    let reqs: Vec<SubmitRequest> = (90_002..90_005).map(|seed| submit_for("MLT", seed)).collect();
-
-    // Seed the disk tier with three entries, then vandalize each a
-    // different way: garbage, truncated mid-header, checksum-breaking
-    // bit flip.
-    let shard = Daemon::serve(&["--disk-cache", &dir_str]);
-    let mut client = ServiceClient::connect(shard.addr).expect("connect");
-    let firsts: Vec<String> = reqs
-        .iter()
-        .map(|req| client.submit(req.clone()).expect("cold submit").result.encode())
-        .collect();
-    client.shutdown().expect("drain");
-    drop(client);
-    shard.wait();
-
-    let entries: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-        .expect("read cache dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "plx"))
-        .collect();
-    assert_eq!(entries.len(), 3, "the first life must have persisted every entry");
-    for (i, path) in entries.iter().enumerate() {
-        match i % 3 {
-            0 => std::fs::write(path, b"garbage, not a cache entry").expect("garbage"),
-            1 => {
-                // Truncate mid-header.
-                let bytes = std::fs::read(path).expect("read entry");
-                std::fs::write(path, &bytes[..bytes.len().min(11)]).expect("truncate");
-            }
-            _ => {
-                // Flip a payload bit so the checksum fails.
-                let mut bytes = std::fs::read(path).expect("read entry");
-                let last = bytes.len() - 1;
-                bytes[last] ^= 0x40;
-                std::fs::write(path, &bytes).expect("bit-flip");
-            }
-        }
-    }
-
-    // Second life over the vandalized directory: every probe is a
-    // structured miss, the shard recompiles, and the answers are still
-    // byte-identical — no panic, no garbage served.
-    let shard = Daemon::serve(&["--disk-cache", &dir_str]);
-    let mut client = ServiceClient::connect(shard.addr).expect("connect");
-    for (req, first) in reqs.into_iter().zip(&firsts) {
-        let recompiled = client.submit(req).expect("submit over corrupt cache");
-        assert!(!recompiled.cached, "a corrupt entry must be a miss, not a hit");
-        assert_eq!(
-            recompiled.result.encode(),
-            *first,
-            "recompilation must reproduce the original payload"
-        );
-    }
-    let stats = client.stats().expect("stats");
-    let disk = stats.get("cache").and_then(|c| c.get("disk")).expect("disk sub-object");
-    assert!(disk.get("misses").and_then(Json::as_u64).unwrap() >= 3, "{stats:?}");
-    assert_eq!(disk.get("hits").and_then(Json::as_u64), Some(0), "{stats:?}");
-    client.shutdown().expect("drain");
-    drop(client);
-    shard.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn router_admin_plane_persists_and_flushes_across_shards() {
-    let dir_a = temp_dir("admin-a");
-    let dir_b = temp_dir("admin-b");
-    let shard_a = Daemon::serve(&["--disk-cache", dir_a.to_str().unwrap()]);
-    let shard_b = Daemon::serve(&["--disk-cache", dir_b.to_str().unwrap()]);
+fn router_admin_plane_flushes_and_resizes_across_shards() {
+    let shard_a = Daemon::serve(&[]);
+    let shard_b = Daemon::serve(&[]);
     let router = Daemon::route(&[shard_a.addr, shard_b.addr]);
     let mut client = ServiceClient::connect(router.addr).expect("connect");
 
-    // Compile a handful of jobs through the router, then persist and
-    // flush every shard through the single admin endpoint.
+    // Compile a handful of jobs through the router, then flush every
+    // shard through the single admin endpoint.
     for seed in 0..4u64 {
         let reply = client.submit(submit_for("HLF", seed)).expect("submit");
         assert!(!reply.cached);
     }
-    let persisted = client.cache_persist().expect("fabric-wide persist");
-    assert_eq!(persisted.get("shards_ok").and_then(Json::as_u64), Some(2), "{persisted:?}");
     let flushed = client.cache_flush().expect("fabric-wide flush");
-    assert_eq!(flushed.get("shards_ok").and_then(Json::as_u64), Some(2));
+    assert_eq!(flushed.get("shards_ok").and_then(Json::as_u64), Some(2), "{flushed:?}");
 
-    // Memory is flushed, but the flush never touches the disk tier: the
-    // repeat is still served as cached (from disk) on whichever shard
-    // owns it, without recompiling.
-    let repeat = client.submit(submit_for("HLF", 0)).expect("repeat after flush");
-    assert!(repeat.cached, "the disk tier must back a flushed memory cache");
+    // The flush reached whichever shard owns the key: the repeat
+    // recompiles, byte-identically.
+    let req = submit_for("HLF", 0);
+    let repeat = client.submit(req.clone()).expect("repeat after flush");
+    assert!(!repeat.cached, "a flushed shard must recompile the repeat");
+    assert_eq!(repeat.result.encode(), direct_payload(&req));
 
-    // Resize fans out too; 0 disables every in-memory cache.
+    // Resize fans out too; 0 disables every result cache.
     let resized = client.cache_resize(0).expect("fabric-wide resize");
     assert_eq!(resized.get("shards_ok").and_then(Json::as_u64), Some(2));
 
@@ -374,6 +268,4 @@ fn router_admin_plane_persists_and_flushes_across_shards() {
     router.wait();
     shard_a.wait();
     shard_b.wait();
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
 }

@@ -8,7 +8,7 @@
 
 use parallax_service::{
     start, start_router, Json, RouterConfig, RouterHandle, ServerConfig, ServerHandle,
-    ServiceClient, SubmitRequest,
+    ServiceClient, SubmitRequest, MAX_LINE_BYTES,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -26,22 +26,12 @@ const TIERS: [Tier; 2] = [Tier::Shard, Tier::Router];
 struct TestServer {
     router: Option<RouterHandle>,
     shard: ServerHandle,
-    tier: Tier,
 }
 
 impl TestServer {
     /// The address clients dial.
     fn addr(&self) -> SocketAddr {
         self.router.as_ref().map_or_else(|| self.shard.addr(), RouterHandle::addr)
-    }
-
-    /// The front tier's request-line cap: the shard's small test cap, or
-    /// the router's fixed default.
-    fn line_cap(&self) -> usize {
-        match self.tier {
-            Tier::Shard => 64 * 1024,
-            Tier::Router => ServerConfig::default().max_line_bytes,
-        }
     }
 
     /// The front tier's count of lines it refused (`bad_requests` on
@@ -57,8 +47,6 @@ fn test_server(tier: Tier) -> TestServer {
         workers: 2,
         queue_capacity: 8,
         cache_capacity: 8,
-        // Small cap so the oversized-line path is cheap to exercise.
-        max_line_bytes: 64 * 1024,
         ..Default::default()
     })
     .expect("bind ephemeral port");
@@ -66,7 +54,7 @@ fn test_server(tier: Tier) -> TestServer {
         start_router(RouterConfig { shards: vec![shard.addr().to_string()], ..Default::default() })
             .expect("bind ephemeral port")
     });
-    TestServer { router, shard, tier }
+    TestServer { router, shard }
 }
 
 /// Send raw bytes on a fresh connection, half-close the write side, and
@@ -126,7 +114,7 @@ fn oversized_lines_get_a_structured_error_and_resynchronize() {
     for tier in TIERS {
         let server = test_server(tier);
         let addr = server.addr();
-        let cap = server.line_cap();
+        let cap = MAX_LINE_BYTES;
         let before = server.rejections();
 
         // One giant line (4x the cap), then a valid ping on the same
@@ -327,7 +315,7 @@ fn malformed_sweeps_are_rejected_without_casualties() {
     // An oversized sweep line (4x the request-line cap) is the transport
     // layer's problem: structured error, resync, and the server lives on.
     let mut giant = Vec::from(&b"{\"cmd\":\"submit-sweep\",\"workload\":\"QFT\",\"params\":[["[..]);
-    while giant.len() < 256 * 1024 {
+    while giant.len() < 4 * MAX_LINE_BYTES {
         giant.extend_from_slice(b"0.125,");
     }
     giant.extend_from_slice(b"0.125]]}\n{\"cmd\":\"ping\"}\n");

@@ -34,8 +34,7 @@ fn paths(prefix: &str, v: &Json, out: &mut Vec<String>) {
 fn stats_json_shape_is_pinned() {
     let m = Metrics::default();
     m.latency.record(123);
-    // Mirrors the server's `cache_json()` shape: byte-budget gauges plus
-    // the always-present disk sub-object (zeroed when no disk tier runs).
+    // Mirrors the server's `cache_json()` shape: the byte-budget gauges.
     let cache = Json::obj(vec![
         ("len", Json::Int(0)),
         ("capacity", Json::Int(8)),
@@ -43,17 +42,6 @@ fn stats_json_shape_is_pinned() {
         ("hits", Json::Int(0)),
         ("misses", Json::Int(0)),
         ("evictions", Json::Int(0)),
-        (
-            "disk",
-            Json::obj(vec![
-                ("enabled", Json::Bool(false)),
-                ("len", Json::Int(0)),
-                ("hits", Json::Int(0)),
-                ("misses", Json::Int(0)),
-                ("stores", Json::Int(0)),
-                ("store_errors", Json::Int(0)),
-            ]),
-        ),
     ]);
     let stats = m.to_json(0, 8, cache);
     let mut got = Vec::new();

@@ -115,11 +115,10 @@ fn distinct_seeds_explore_distinct_placements() {
 }
 
 /// Every cache key below the service — placement and compiler
-/// fingerprints, the interaction-graph hash, the disk checksum — is
-/// FNV-1a: graphine's private `WordHasher` (it sits below
-/// `parallax-hardware`) and `parallax_hardware::StableHasher` above it.
-/// Layout, template, result and disk caches are keyed by these values,
-/// so a change to any of them invalidates every persisted entry.
+/// fingerprints, the interaction-graph hash — is FNV-1a: graphine's
+/// private `WordHasher` (it sits below `parallax-hardware`) and
+/// `parallax_hardware::StableHasher` above it. Layout, template and
+/// result caches are keyed by these values.
 #[test]
 fn stable_cache_keys_are_pinned() {
     assert_eq!(PlacementConfig::quick(1).fingerprint(), 0x273e_61fd_a8fa_9f5f);

@@ -138,8 +138,9 @@ pub fn dual_annealing<F: FnMut(&[f64]) -> f64>(
         // single-dimension moves on alternating steps for fine exploration.
         candidate.copy_from_slice(&current);
         if step_within_cycle.is_multiple_of(2) {
+            let x_base = visiting.x_base(t);
             for (d, c) in candidate.iter_mut().enumerate() {
-                let delta = visiting.sample(&mut rng, t);
+                let delta = visiting.sample_at(&mut rng, x_base);
                 *c = wrap_into_bounds(*c + delta, bounds[d]);
             }
         } else {

@@ -678,7 +678,10 @@ pub fn schedule_gates(
                 }
                 moved_stamp[q] = stamp;
             }
-            layout.array.apply_aod_moves(&plan.moves).expect("validated plan must commit");
+            // The planner validated this batch against this very array
+            // state (a memo hit only answers for an identical AOD
+            // configuration), so it commits without a second scan.
+            layout.array.commit_validated_moves(&plan.moves);
             mover_plans.push(plan.moves.len() as u32);
             moves.extend_from_slice(&plan.moves);
             move_distance_um = move_distance_um.max(plan.max_distance_um);
@@ -816,10 +819,10 @@ pub fn schedule_gates(
                 return_moves.push(AodMove { q, x: home.x, y: home.y });
             }
             if !return_moves.is_empty() {
-                layout
-                    .array
-                    .apply_aod_moves(&return_moves)
-                    .expect("home configuration is always valid");
+                // Every atom moved this layer goes back to where it stood
+                // before the layer, and the rest never left: the batch
+                // restores a configuration the array already held.
+                layout.array.commit_validated_moves(&return_moves);
             }
         }
         drop(t);

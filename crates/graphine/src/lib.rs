@@ -10,11 +10,13 @@
 //!
 //! The placement hot path is engineered for repeat traffic: each layout is
 //! one seeded dual-annealing run whose inner loops are allocation-free with
-//! an incremental energy table (bit-identical to the reference objective),
-//! and `parallax-core` caches finished layouts by (interaction-graph hash,
-//! machine fingerprint, [`PlacementConfig::fingerprint`]) so near-miss
-//! compilations skip the anneal entirely. Measured effect on the fixed-seed
-//! end-to-end benches when the energy table and layout cache landed
+//! an incremental energy table (bit-identical to the reference objective;
+//! it re-sums only its non-zero pair terms and skips the `sqrt` of pairs
+//! beyond the repulsion range), and `parallax-core` caches finished layouts
+//! by (interaction-graph hash, machine fingerprint,
+//! [`PlacementConfig::fingerprint`]) so near-miss compilations skip the
+//! anneal entirely. Measured effect on the fixed-seed end-to-end benches
+//! when the energy table and layout cache landed
 //! (10-sample means, same machine):
 //!
 //! | Bench | before | after | speedup |

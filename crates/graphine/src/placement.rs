@@ -120,14 +120,24 @@ fn repulsion_lambda(graph: &InteractionGraph, repulsion_scale: f64) -> f64 {
 ///
 /// The total is then re-summed from the cached terms **in the exact
 /// accumulation order of [`placement_energy`]** — edge terms in edge order,
-/// then pair terms in `(i, j), i < j` lexicographic order, with out-of-range
-/// pairs contributing a literal `+0.0` (bitwise identity on the
-/// non-negative totals that arise here) — so the result is bit-identical to
-/// the reference form and seeded annealing trajectories are unchanged.
+/// then pair terms in `(i, j), i < j` lexicographic order — so the result
+/// is bit-identical to the reference form and seeded annealing
+/// trajectories are unchanged. Out-of-range pairs (over 99% of them,
+/// averaged over a TFIM-128 anneal's evaluations) hold a zero term, and
+/// the sum skips them: a bitset over the pair index marks the non-zero
+/// terms, and the sum walks its set bits in index order. Skipping is
+/// exact because the running total starts at `+0.0` and a round-to-nearest
+/// sum that starts at `+0.0` never becomes `-0.0`, so adding a zero term
+/// never changes a bit. A pair whose squared distance reaches
+/// `r0² · (1 + 1e-9)` is zero before its `sqrt`: `sqrt` is monotone and
+/// correctly rounded, so such a pair never has `d < r0`.
 #[derive(Debug, Clone)]
 pub struct EnergyTable<'g> {
     graph: &'g InteractionGraph,
     r0: f64,
+    /// Squared distance at and beyond which a pair term is zero without
+    /// taking its `sqrt`: `r0² · (1 + 1e-9)`.
+    cutoff_sq: f64,
     lambda: f64,
     /// Positions of the previous evaluation (term cache validity).
     cached: Vec<(f64, f64)>,
@@ -135,6 +145,8 @@ pub struct EnergyTable<'g> {
     edge_terms: Vec<f64>,
     /// Per-pair repulsion terms, upper triangle in row-major `(i, j)` order.
     pair_terms: Vec<f64>,
+    /// Bit `k` is set iff `pair_terms[k]` is non-zero (64 pairs a word).
+    nonzero: Vec<u64>,
     /// CSR adjacency (per-qubit incident-edge ids in ascending edge order —
     /// the same iteration order the nested `qubit_edges: Vec<Vec<usize>>`
     /// it replaced produced, so updates touch terms identically).
@@ -149,13 +161,17 @@ impl<'g> EnergyTable<'g> {
     /// with a full recomputation.
     pub fn new(graph: &'g InteractionGraph, repulsion_scale: f64) -> Self {
         let q = graph.num_qubits;
+        let r0 = 0.8 / (q.max(1) as f64).sqrt();
+        let pairs = q * q.saturating_sub(1) / 2;
         Self {
             graph,
-            r0: 0.8 / (q.max(1) as f64).sqrt(),
+            r0,
+            cutoff_sq: r0 * r0 * (1.0 + 1e-9),
             lambda: repulsion_lambda(graph, repulsion_scale),
             cached: Vec::new(),
             edge_terms: vec![0.0; graph.edges.len()],
-            pair_terms: vec![0.0; q * q.saturating_sub(1) / 2],
+            pair_terms: vec![0.0; pairs],
+            nonzero: vec![0; pairs.div_ceil(64)],
             adj: graph.csr(),
             changed: Vec::new(),
             primed: false,
@@ -183,12 +199,28 @@ impl<'g> EnergyTable<'g> {
     fn pair_term(&self, i: usize, j: usize, positions: &[(f64, f64)]) -> f64 {
         let dx = positions[i].0 - positions[j].0;
         let dy = positions[i].1 - positions[j].1;
-        let d = (dx * dx + dy * dy).sqrt();
+        let d_sq = dx * dx + dy * dy;
+        if d_sq >= self.cutoff_sq {
+            return 0.0;
+        }
+        let d = d_sq.sqrt();
         if d < self.r0 {
             let overlap = (self.r0 - d) / self.r0;
             self.lambda * overlap * overlap
         } else {
             0.0
+        }
+    }
+
+    /// Store pair term `k` and keep its non-zero bit in step.
+    #[inline]
+    fn set_pair_term(&mut self, k: usize, term: f64) {
+        self.pair_terms[k] = term;
+        let (word, bit) = (k / 64, 1u64 << (k % 64));
+        if term != 0.0 {
+            self.nonzero[word] |= bit;
+        } else {
+            self.nonzero[word] &= !bit;
         }
     }
 
@@ -200,7 +232,8 @@ impl<'g> EnergyTable<'g> {
         let mut k = 0;
         for i in 0..q {
             for j in (i + 1)..q {
-                self.pair_terms[k] = self.pair_term(i, j, positions);
+                let term = self.pair_term(i, j, positions);
+                self.set_pair_term(k, term);
                 k += 1;
             }
         }
@@ -225,7 +258,8 @@ impl<'g> EnergyTable<'g> {
                 }
                 let (i, j) = (qubit.min(other), qubit.max(other));
                 let idx = self.pair_index(i, j);
-                self.pair_terms[idx] = self.pair_term(i, j, positions);
+                let term = self.pair_term(i, j, positions);
+                self.set_pair_term(idx, term);
             }
             self.cached[qubit] = positions[qubit];
         }
@@ -261,8 +295,12 @@ impl<'g> EnergyTable<'g> {
         for &t in &self.edge_terms {
             e += t;
         }
-        for &t in &self.pair_terms {
-            e += t;
+        for (w, &word) in self.nonzero.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                e += self.pair_terms[64 * w + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+            }
         }
         e
     }
@@ -305,6 +343,7 @@ pub fn place(graph: &InteractionGraph, config: &PlacementConfig) -> Placement {
 mod tests {
     use super::*;
     use parallax_circuit::CircuitBuilder;
+    use proptest::prelude::*;
 
     fn line_graph(weights: &[f64]) -> InteractionGraph {
         InteractionGraph {
@@ -491,6 +530,129 @@ mod tests {
         let speedup = naive.as_secs_f64() / incremental.as_secs_f64();
         println!("naive {naive:?} / incremental {incremental:?} = {speedup:.1}x");
         assert!(speedup > 1.5, "expected a measurable speedup, got {speedup:.2}x");
+    }
+
+    /// Every cached pair term has the bits of the reference objective's
+    /// term (the `sqrt` form, no cutoff), and its non-zero bit agrees with
+    /// it. The sum alone would miss a wrong term near the cutoff: one ulp
+    /// inside `r0` adds about 1e-32, below the total's last bit.
+    fn assert_pair_terms_match(
+        table: &EnergyTable,
+        pos: &[(f64, f64)],
+    ) -> Result<(), TestCaseError> {
+        let (r0, lambda) = (table.r0, table.lambda);
+        let mut k = 0;
+        for i in 0..pos.len() {
+            for j in (i + 1)..pos.len() {
+                let (dx, dy) = (pos[i].0 - pos[j].0, pos[i].1 - pos[j].1);
+                let d = (dx * dx + dy * dy).sqrt();
+                let overlap = (r0 - d) / r0;
+                let reference = if d < r0 { lambda * overlap * overlap } else { 0.0 };
+                let term = table.pair_terms[k];
+                prop_assert_eq!(term.to_bits(), reference.to_bits(), "pair ({}, {})", i, j);
+                let bit = table.nonzero[k / 64] >> (k % 64) & 1 == 1;
+                prop_assert_eq!(bit, term != 0.0, "pair ({}, {}) term {}", i, j, term);
+                k += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// A TFIM-scale scene where many pairs sit exactly at the repulsion
+    /// cutoff: each anchor `(0, y)` / `(x, 0)` has a partner at `r0`, at
+    /// `r0` ± 1 ulp, or at the pre-`sqrt` cutoff distance ± 1 ulp along
+    /// the axis (coordinates at `0.0` keep the differences exact), and the
+    /// rest of the atoms crowd a few cluster centres.
+    fn clustered_scene(q: usize, state: &mut u64) -> Vec<(f64, f64)> {
+        let r0 = 0.8 / (q as f64).sqrt();
+        let cutoff = r0 * (1.0 + 1e-9f64).sqrt();
+        let gaps = [r0, r0.next_up(), r0.next_down(), cutoff, cutoff.next_up(), cutoff.next_down()];
+        let centres: Vec<(f64, f64)> = (0..4).map(|_| (lcg(state), lcg(state))).collect();
+        let mut pos = Vec::with_capacity(q);
+        let mut k = 0usize;
+        while pos.len() < q {
+            let along = (k % 16 + 1) as f64 / 16.0;
+            let gap = gaps[(lcg(state) * gaps.len() as f64) as usize % gaps.len()];
+            match k % 3 {
+                0 => pos.extend([(0.0, along), (gap, along)]),
+                1 => pos.extend([(along, 0.0), (along, gap)]),
+                _ => {
+                    let (cx, cy) = centres[k % centres.len()];
+                    pos.push((cx + 0.5 * r0 * lcg(state), cy + 0.5 * r0 * lcg(state)));
+                }
+            }
+            k += 1;
+        }
+        pos.truncate(q);
+        pos
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// At q = 40..200 with pairs on the cutoff, the sparse sum stays
+        /// bit-identical to the reference objective over single-coordinate,
+        /// few-qubit and full moves, and every non-zero bit tracks its term.
+        #[test]
+        fn energy_table_matches_reference_at_scale(
+            q in 40usize..=200,
+            seed in 0u64..u64::MAX,
+            chords in 0usize..4,
+        ) {
+            let mut state = seed;
+            let mut edges: Vec<(u32, u32, f64)> =
+                (0..q as u32).map(|i| (i, (i + 1) % q as u32, 1.0 + (i % 5) as f64)).collect();
+            for c in 0..chords * q / 4 {
+                let a = (lcg(&mut state) * q as f64) as u32 % q as u32;
+                let b = (a + 2 + c as u32 % 7) % q as u32;
+                edges.push((a, b, 0.5 + lcg(&mut state)));
+            }
+            let g = InteractionGraph { num_qubits: q, edges };
+            let r0 = 0.8 / (q as f64).sqrt();
+            let mut table = EnergyTable::new(&g, 1.0);
+            let mut pos = clustered_scene(q, &mut state);
+            for step in 0..24 {
+                match step % 6 {
+                    // Full move: a fresh scene.
+                    0 => pos = clustered_scene(q, &mut state),
+                    // Few-qubit move: about `r0` right of another atom.
+                    3 => {
+                        for _ in 0..1 + step % 4 {
+                            let i = (lcg(&mut state) * q as f64) as usize % q;
+                            let j = (lcg(&mut state) * q as f64) as usize % q;
+                            pos[i] = (pos[j].0 + r0, pos[j].1);
+                        }
+                    }
+                    // Single coordinate: exactly `r0` (or 1 ulp beyond)
+                    // from an axis, or anywhere in the square.
+                    _ => {
+                        let i = (lcg(&mut state) * q as f64) as usize % q;
+                        let v = match (step / 6) % 3 {
+                            0 => r0.next_up(),
+                            1 => r0,
+                            _ => lcg(&mut state),
+                        };
+                        if step % 2 == 0 {
+                            pos[i].0 = v;
+                        } else {
+                            pos[i].1 = v;
+                        }
+                    }
+                }
+                let incremental = table.eval(&pos);
+                let reference = placement_energy(&pos, &g, 1.0);
+                prop_assert_eq!(
+                    incremental.to_bits(),
+                    reference.to_bits(),
+                    "q {} step {}: {} != {}",
+                    q,
+                    step,
+                    incremental,
+                    reference
+                );
+                assert_pair_terms_match(&table, &pos)?;
+            }
+        }
     }
 
     #[test]

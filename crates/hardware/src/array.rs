@@ -479,6 +479,24 @@ impl AtomArray {
         if let Some(v) = self.first_aod_move_violation(moves) {
             return Err(v);
         }
+        self.commit_validated_moves(moves);
+        Ok(())
+    }
+
+    /// Commit a batch of AOD moves that the caller has already validated
+    /// against this exact array state — the scheduler's planned batches,
+    /// which [`Self::first_aod_move_violation`] cleared before they were
+    /// returned, and its home-return batches, which restore a configuration
+    /// the array held before. Release builds skip the scan that
+    /// [`Self::apply_aod_moves`] runs; debug builds still run it and panic
+    /// on a violation (the inline-diff convention of `docs/DATA_LAYOUT.md`).
+    ///
+    /// Panics if a mover is not AOD-trapped.
+    pub fn commit_validated_moves(&mut self, moves: &[AodMove]) {
+        #[cfg(debug_assertions)]
+        if let Some(v) = self.first_aod_move_violation(moves) {
+            panic!("commit_validated_moves: the batch violates {v:?}");
+        }
         for m in moves {
             let (row, col) = match self.trap_of(m.q as usize) {
                 Some(Trap::Aod { row, col }) => (row, col),
@@ -493,7 +511,6 @@ impl AtomArray {
         if !moves.is_empty() {
             self.positions_epoch += 1;
         }
-        Ok(())
     }
 
     /// Check a batch of AOD moves, returning every violation of the *final*
@@ -1139,6 +1156,21 @@ mod tests {
         assert_eq!(a.positions_epoch(), e1);
         a.apply_aod_moves(&[AodMove { q: 0, x: 35.0, y: 35.0 }]).unwrap();
         assert!(a.positions_epoch() > e1);
+    }
+
+    /// Debug builds keep the scan behind the unchecked commit: a batch
+    /// that the checked path refuses panics instead of committing.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "commit_validated_moves")]
+    fn commit_validated_moves_panics_on_a_violating_batch_in_debug() {
+        let mut a = array();
+        a.place_in_slm(0, (2, 2));
+        a.place_in_slm(1, (6, 6));
+        a.transfer_to_aod(0, 0, 0).unwrap();
+        // Onto the static atom 1.
+        let onto = a.position(1);
+        a.commit_validated_moves(&[AodMove { q: 0, x: onto.x, y: onto.y }]);
     }
 
     mod indexed_scan_matches_naive {

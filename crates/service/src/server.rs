@@ -319,7 +319,7 @@ fn handle_submit(req: &SubmitRequest, core: &ServerCore) -> String {
         return response;
     }
 
-    let (reply_tx, reply_rx) = mpsc::channel();
+    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let job = Job { circuit, compiler, key, trace_id: trace_num, reply: reply_tx };
     match shared.queue.push_timeout(job, req.priority, core.enqueue_timeout) {
         Err(PushError::Full(_)) => {
@@ -525,6 +525,74 @@ mod tests {
 
     fn submit_line(workload: &str, seed: u64) -> String {
         format!("{{\"cmd\":\"submit\",\"workload\":\"{workload}\",\"seed\":{seed},\"quick\":true}}")
+    }
+
+    /// Poll `done` every 2 ms for up to 20 s; panic with `what` otherwise.
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn full_queue_pushes_back_instead_of_accepting_silently() {
+        // One worker, one queue slot, immediate rejection.
+        let config = ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            cache_capacity: 1 << 20,
+            enqueue_timeout_ms: 0,
+            ..Default::default()
+        };
+        let core = Arc::new(ServerCore::new(&config));
+        // Occupy the worker with a job it cannot finish until the test
+        // takes its outcome: the reply channel has no slot, so the worker's
+        // send waits for the receive below, however fast the compile is.
+        let mut b = parallax_circuit::CircuitBuilder::new(3);
+        b.h(0).cx(0, 1).cx(1, 2);
+        let circuit = b.build();
+        let compiler = parallax_core::ParallaxCompiler::new(
+            parallax_hardware::MachineSpec::quera_aquila_256(),
+            parallax_core::CompilerConfig::quick(1),
+        );
+        let key = CacheKey { circuit: 0, compiler: 0 };
+        let (hold_tx, hold_rx) = mpsc::sync_channel(0);
+        let hold = Job { circuit, compiler, key, trace_id: 0, reply: hold_tx };
+        assert!(core.shared.queue.try_push(hold, 0).is_ok(), "the empty queue takes the hold job");
+        wait_until("the worker claims the hold job", || core.shared.queue.is_empty());
+
+        // Fill the single queue slot through the protocol...
+        let queued = {
+            let core = core.clone();
+            std::thread::spawn(move || handle_request(&submit_line("MLT", 7), &core).0)
+        };
+        wait_until("the second job is queued", || core.shared.queue.len() == 1);
+
+        // ...then the next distinct submission must be refused with
+        // backpressure.
+        let refusal = {
+            let core = core.clone();
+            std::thread::spawn(move || handle_request(&submit_line("QAOA", 3), &core).0)
+        };
+        // An accepted submission would wait on the held worker.
+        wait_until("the third submission is answered", || refusal.is_finished());
+        let refused = refusal.join().expect("refused submission thread");
+        assert!(refused.contains("queue full"), "expected a queue-full rejection, got {refused}");
+        assert_eq!(core.shared.metrics.rejected_full.get(), 1);
+
+        // Backpressure is not loss: release the worker, and both accepted
+        // jobs complete.
+        assert!(matches!(hold_rx.recv(), Ok(JobOutcome::Done { .. })), "the hold job compiles");
+        let response = queued.join().expect("queued submission thread");
+        let reply = json::parse(&response).unwrap();
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "queued job failed: {response}"
+        );
+        core.drain();
     }
 
     #[test]

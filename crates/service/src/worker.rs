@@ -32,8 +32,12 @@ pub struct Job {
     /// span of this job's compile with it, so the service `TRACE` op can
     /// slice the ring buffer per request.
     pub trace_id: u64,
-    /// Where the submitting connection waits for the outcome.
-    pub reply: mpsc::Sender<JobOutcome>,
+    /// Where the submitting connection waits for the outcome. The server
+    /// gives each job a one-slot channel, so the worker's one send never
+    /// waits; a zero-slot channel holds the worker until the outcome is
+    /// received, which lets a test keep the worker busy for exactly as
+    /// long as it needs.
+    pub reply: mpsc::SyncSender<JobOutcome>,
 }
 
 /// What a worker sends back for one job.
@@ -132,7 +136,7 @@ mod tests {
     use parallax_core::CompilerConfig;
     use parallax_hardware::MachineSpec;
 
-    fn job(reply: mpsc::Sender<JobOutcome>) -> Job {
+    fn job(reply: mpsc::SyncSender<JobOutcome>) -> Job {
         let mut b = CircuitBuilder::new(3);
         b.h(0).cx(0, 1).cx(1, 2);
         let circuit = b.build();
@@ -145,7 +149,7 @@ mod tests {
 
     #[test]
     fn run_job_compiles_and_publishes() {
-        let (tx, _rx) = mpsc::channel();
+        let (tx, _rx) = mpsc::sync_channel(1);
         let j = job(tx);
         let metrics = Metrics::default();
         let mut published = None;
@@ -174,7 +178,7 @@ mod tests {
         let tiny = MachineSpec { grid_dim: 2, ..MachineSpec::quera_aquila_256() };
         let compiler = ParallaxCompiler::new(tiny, CompilerConfig::quick(1));
         let key = CacheKey { circuit: 0, compiler: 0 };
-        let (tx, _rx) = mpsc::channel();
+        let (tx, _rx) = mpsc::sync_channel(1);
         let j = Job { circuit, compiler, key, trace_id: 0, reply: tx };
         let metrics = Metrics::default();
         let outcome = run_job(&j, &metrics, |_, _| panic!("must not publish"));

@@ -305,70 +305,6 @@ fn hundred_point_qaoa_sweep_rebinds_from_one_template() {
 }
 
 #[test]
-fn full_queue_pushes_back_instead_of_accepting_silently() {
-    // One worker, one queue slot, immediate rejection: occupy the worker
-    // with the heaviest workload (TFIM, 128 qubits — its movement-heavy
-    // schedule takes ~hundreds of ms even with the quick placement
-    // preset and warm caches), fill the single slot, then watch further
-    // submissions bounce with a `queue full` error.
-    let server = start(ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        enqueue_timeout_ms: 0,
-        ..test_config()
-    })
-    .expect("bind");
-    let addr = server.addr();
-
-    let slow = std::thread::spawn(move || {
-        let mut c = ServiceClient::connect(addr).expect("connect");
-        c.submit(submit_for("TFIM", 1)).expect("slow job completes")
-    });
-    // Wait until the worker has actually claimed the slow job.
-    let mut c = ServiceClient::connect(addr).expect("connect");
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    loop {
-        let stats = c.stats().expect("stats");
-        let submitted = stats.get("submitted").and_then(Json::as_u64).unwrap();
-        let depth = stats.get("queue_depth").and_then(Json::as_u64).unwrap();
-        if submitted == 1 && depth == 0 {
-            break; // worker busy, queue empty
-        }
-        assert!(std::time::Instant::now() < deadline, "slow job never started");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    // Fill the single queue slot…
-    let queued = std::thread::spawn(move || {
-        let mut c = ServiceClient::connect(addr).expect("connect");
-        c.submit(submit_for("MLT", 7)).expect("queued job completes")
-    });
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    loop {
-        let stats = c.stats().expect("stats");
-        if stats.get("queue_depth").and_then(Json::as_u64).unwrap() == 1 {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "second job never queued");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    // …then the next distinct submission must be refused with backpressure.
-    match c.submit(submit_for("QAOA", 3)) {
-        Err(ClientError::Server(msg)) => {
-            assert!(msg.contains("queue full"), "unexpected error: {msg}")
-        }
-        other => panic!("expected a queue-full rejection, got {other:?}"),
-    }
-    let stats = c.stats().expect("stats");
-    assert_eq!(stats.get("rejected_full").and_then(Json::as_u64), Some(1));
-
-    // Backpressure is not loss: both accepted jobs still complete.
-    slow.join().expect("slow client");
-    queued.join().expect("queued client");
-}
-
-#[test]
 fn shutdown_drains_accepted_jobs_without_dropping_any() {
     let server = start(ServerConfig { workers: 2, ..test_config() }).expect("bind");
     let addr = server.addr();

@@ -67,10 +67,14 @@ fn bench_stages(c: &mut Criterion) {
     // layout is cloned per iteration because scheduling mutates it; the
     // clone is O(atoms) and noise next to the scheduling loop itself.
     // TFIM-128 is the large-circuit extreme where the scheduler dominates
-    // the warm-cache compile; SQRT tracks the mid-size behaviour.
-    for (name, machine) in
-        [("SQRT", MachineSpec::quera_aquila_256()), ("TFIM", MachineSpec::atom_1225())]
-    {
+    // the warm-cache compile; SQRT tracks the mid-size behaviour; VQE is
+    // movement-led, most of its schedule spent in the movement planner's
+    // displacement cascades, most of which fail.
+    for (name, machine) in [
+        ("SQRT", MachineSpec::quera_aquila_256()),
+        ("TFIM", MachineSpec::atom_1225()),
+        ("VQE", MachineSpec::atom_1225()),
+    ] {
         let bench = parallax_workloads::benchmark(name).unwrap();
         let circuit = bench.circuit(0);
         let placement = placement_for(bench.qubits, 0);

@@ -128,11 +128,8 @@ impl ParallaxCompiler {
     /// bit-identical to fresh anneals, so results never depend on the
     /// cache's state.
     pub fn compile(&self, circuit: &Circuit) -> CompilationResult {
-        let (graph, layout) = crate::layout_cache::cached_layout_and_graph(
-            circuit,
-            &self.machine,
-            &self.config.placement,
-        );
+        let (graph, layout) =
+            crate::layout_cache::cached_layout_and_graph(circuit, &self.config.placement);
         self.compile_placed(circuit, Some(&graph), &layout)
     }
 

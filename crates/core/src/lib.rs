@@ -23,9 +23,9 @@
 //!
 //! Two layers make repeat and near-miss traffic cheap. The process-wide
 //! [`layout_cache`] skips the anneal for known (interaction graph,
-//! machine, placement-params) keys, with size-aware eviction (entries are
-//! charged their qubit count; `PARALLAX_LAYOUT_CACHE` sets the budget in
-//! qubit-units). Within a compile, the scheduler's per-compile move memo
+//! placement-params) keys, on any machine, with size-aware eviction
+//! (entries are charged their qubit count; `PARALLAX_LAYOUT_CACHE` sets
+//! the budget in qubit-units). Within a compile, the scheduler's per-compile move memo
 //! answers the home-return steady state with an epoch fast path; move
 //! plans are not cached across compiles.
 //! Downstream, the [`scheduler`] — the whole cost of a warm-cache compile

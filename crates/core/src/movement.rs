@@ -18,8 +18,25 @@
 //! accepted plan is identical to the unpruned cascade's by construction;
 //! `plan_move_into_range_naive` is kept in test/debug builds as the
 //! oracle the differential proptests diff against.
+//!
+//! Each endpoint's cascade grows one [`MoveBatch`], which re-checks only
+//! the atom a step moved. The naive oracle re-checks its whole batch with
+//! the naive sweep on every step instead.
 
-use parallax_hardware::{violates_separation, AodMove, AtomArray, Point, Trap, Violation};
+use parallax_hardware::{
+    violates_separation, AodMove, AtomArray, MoveBatch, Point, Trap, Violation,
+};
+
+/// How a cascade step finds its batch's first violation.
+type FirstViolation = fn(&MoveBatch) -> Option<Violation>;
+
+/// The buffers one plan's endpoint cascades reuse, and how they check.
+struct Cascade<'a> {
+    batch: MoveBatch<'a>,
+    /// Violation signatures the current cascade has met.
+    seen: Vec<(u8, u32, u32)>,
+    first_violation: FirstViolation,
+}
 
 /// Why a movement plan could not be produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +116,7 @@ fn endpoint_provably_blocked(array: &AtomArray, mover: u32, target: u32, endpoin
 /// Plan to bring `mover` (AOD-trapped) within radius `r_um` of `target`.
 ///
 /// The returned plan has already been validated against the array; the
-/// caller commits it with [`AtomArray::apply_aod_moves`].
+/// scheduler commits it with [`AtomArray::commit_validated_moves`].
 ///
 /// Endpoint candidates that are provably infeasible (see
 /// `endpoint_provably_blocked`) are skipped without probing; the first
@@ -113,11 +130,12 @@ pub fn plan_move_into_range(
     r_um: f64,
     max_recursion: usize,
 ) -> Result<MovePlan, MoveFailure> {
-    plan_move_impl(array, mover, target, r_um, max_recursion, true)
+    plan_move_impl(array, mover, target, r_um, max_recursion, true, |b| b.first_violation())
 }
 
 /// The unpruned probe cascade: every endpoint candidate is probed, none
-/// pre-filtered. Test oracle for [`plan_move_into_range`] — successful
+/// pre-filtered, and every cascade step re-checks its whole batch with the
+/// naive sweep. Test oracle for [`plan_move_into_range`] — successful
 /// plans must be bit-identical, failures must agree modulo the
 /// `RecursionLimit`/`NoValidEndpoint` variant (see
 /// `endpoint_provably_blocked`).
@@ -129,7 +147,7 @@ pub fn plan_move_into_range_naive(
     r_um: f64,
     max_recursion: usize,
 ) -> Result<MovePlan, MoveFailure> {
-    plan_move_impl(array, mover, target, r_um, max_recursion, false)
+    plan_move_impl(array, mover, target, r_um, max_recursion, false, |b| b.first_violation_naive())
 }
 
 fn plan_move_impl(
@@ -139,6 +157,7 @@ fn plan_move_impl(
     r_um: f64,
     max_recursion: usize,
     prune: bool,
+    first_violation: FirstViolation,
 ) -> Result<MovePlan, MoveFailure> {
     if !array.is_aod(mover) {
         return Err(MoveFailure::NotInAod);
@@ -146,6 +165,7 @@ fn plan_move_impl(
     let target_pos = array.position(target);
     let mover_pos = array.position(mover);
     let min_sep = array.spec().min_separation_um;
+    let mut cascade = Cascade { batch: MoveBatch::new(array), seen: Vec::new(), first_violation };
     // Candidate approach distances, closest first: the discretization
     // pitch (2 x min separation + padding) guarantees clearance right next
     // to any SLM atom, so parking just outside the separation distance
@@ -218,7 +238,8 @@ fn plan_move_impl(
                 continue;
             }
             let mut budget = max_recursion;
-            if let Ok(moves) = try_endpoint(array, mover, target, corner, &mut budget) {
+            if let Ok(moves) = try_endpoint(array, &mut cascade, mover, target, corner, &mut budget)
+            {
                 let used = max_recursion - budget;
                 return Ok(MovePlan::from_moves(array, moves, used));
             }
@@ -239,7 +260,8 @@ fn plan_move_impl(
             if prune && endpoint_provably_blocked(array, mover, target, endpoint) {
                 continue;
             }
-            match try_endpoint(array, mover, target, endpoint, &mut recursion_budget) {
+            match try_endpoint(array, &mut cascade, mover, target, endpoint, &mut recursion_budget)
+            {
                 Ok(moves) => {
                     debug_assert!(
                         !moves.iter().any(|m| m.q == target),
@@ -274,6 +296,7 @@ enum EndpointFailure {
 /// lines until the batch validates or the budget dies.
 fn try_endpoint(
     array: &AtomArray,
+    cascade: &mut Cascade<'_>,
     mover: u32,
     target: u32,
     endpoint: Point,
@@ -284,18 +307,20 @@ fn try_endpoint(
     // Neither the mover (its endpoint is the point of the move) nor the
     // target (the gate needs it where it is) may be displaced.
     let pinned = |q: u32| q == mover || q == target;
-    let mut moves: Vec<AodMove> = vec![AodMove { q: mover, x: endpoint.x, y: endpoint.y }];
+    let Cascade { batch, seen, first_violation } = cascade;
+    batch.clear();
+    batch.move_atom(mover, endpoint);
     // Oscillation guard: a violation signature recurring means the cascade
     // is geometrically infeasible for this endpoint (e.g. an atom squeezed
     // between two pinned lines) — bail to the next angle instead of
     // burning the whole recursion budget.
-    let mut seen: Vec<(u8, u32, u32)> = Vec::new();
+    seen.clear();
 
     loop {
-        // Only the first violation steers the resolution; the early-exit
-        // scan avoids the full O(atoms x moves) sweep per probe.
-        let Some(v) = array.first_aod_move_violation(&moves) else {
-            return Ok(moves);
+        // Only the first violation steers the resolution; the batch
+        // re-checked only what the last step moved.
+        let Some(v) = first_violation(batch) else {
+            return Ok(batch.moves().collect());
         };
         if *budget == 0 {
             return Err(EndpointFailure::Recursion);
@@ -312,14 +337,6 @@ fn try_endpoint(
         }
         seen.push(signature);
 
-        let planned = |q: u32, moves: &[AodMove]| -> Point {
-            moves
-                .iter()
-                .find(|m| m.q == q)
-                .map(|m| Point::new(m.x, m.y))
-                .unwrap_or_else(|| array.position(q))
-        };
-
         match v {
             Violation::Separation { q1, q2, .. } => {
                 // q1 is always a moved (hence AOD) atom; q2 may be a static
@@ -334,8 +351,8 @@ fn try_endpoint(
                     return Err(EndpointFailure::Angle);
                 };
                 let anchor_q = if push_q == q1 { q2 } else { q1 };
-                let anchor = planned(anchor_q, &moves);
-                let current = planned(push_q, &moves);
+                let anchor = batch.position(anchor_q);
+                let current = batch.position(push_q);
                 // Axis-aligned displacement along the dominant separation
                 // axis: keeps the push consistent with AOD line ordering
                 // (the axis gap also satisfies the line-gap constraint), so
@@ -351,7 +368,7 @@ fn try_endpoint(
                     let dir = if dy != 0.0 { dy.signum() } else { 1.0 };
                     Point::new(current.x, anchor.y + dir * dist)
                 };
-                upsert(&mut moves, push_q, new);
+                batch.move_atom(push_q, new);
             }
             Violation::RowOrdering { row_a, row_b } => {
                 // Push whichever line's owner is not pinned.
@@ -362,10 +379,10 @@ fn try_endpoint(
                 if pinned(push_q) {
                     return Err(EndpointFailure::Angle);
                 }
-                let fixed_y = planned(fixed_q, &moves).y;
-                let cur = planned(push_q, &moves);
+                let fixed_y = batch.position(fixed_q).y;
+                let cur = batch.position(push_q);
                 let new_y = if push_up { fixed_y + gap + 0.25 } else { fixed_y - gap - 0.25 };
-                upsert(&mut moves, push_q, Point::new(cur.x, new_y));
+                batch.move_atom(push_q, Point::new(cur.x, new_y));
             }
             Violation::ColOrdering { col_a, col_b } => {
                 let qa = owner_of_col(array, col_a);
@@ -375,29 +392,15 @@ fn try_endpoint(
                 if pinned(push_q) {
                     return Err(EndpointFailure::Angle);
                 }
-                let fixed_x = planned(fixed_q, &moves).x;
-                let cur = planned(push_q, &moves);
+                let fixed_x = batch.position(fixed_q).x;
+                let cur = batch.position(push_q);
                 let new_x = if push_right { fixed_x + gap + 0.25 } else { fixed_x - gap - 0.25 };
-                upsert(&mut moves, push_q, Point::new(new_x, cur.y));
+                batch.move_atom(push_q, Point::new(new_x, cur.y));
             }
-            Violation::OutOfBounds { q } => {
-                if q == mover {
-                    return Err(EndpointFailure::Angle);
-                }
-                // A recursively displaced atom left the grid; this angle's
-                // cascade will not settle.
-                return Err(EndpointFailure::Angle);
-            }
+            // The mover's endpoint or a displaced atom left the grid; this
+            // angle's cascade will not settle.
+            Violation::OutOfBounds { .. } => return Err(EndpointFailure::Angle),
         }
-    }
-}
-
-fn upsert(moves: &mut Vec<AodMove>, q: u32, p: Point) {
-    if let Some(m) = moves.iter_mut().find(|m| m.q == q) {
-        m.x = p.x;
-        m.y = p.y;
-    } else {
-        moves.push(AodMove { q, x: p.x, y: p.y });
     }
 }
 
@@ -587,6 +590,119 @@ mod tests {
         assert!(endpoint_provably_blocked(&a, 0, 1, Point::new(-1e4, 0.0)));
         // The planner still finds the same plan as the oracle.
         assert_matches_naive_plan(&a, 0, 1, 7.5, 80);
+    }
+
+    /// A VQE/QV-like scene built from `seed`: `28 + seed % 5` qubits on
+    /// random sites of a 6x6 block of QuEra-256 (78–89% of its sites
+    /// filled), 8–14 of them in the AOD on rows and columns in coordinate
+    /// order, and a few plans committed first, as mid-schedule. Movement in
+    /// such crowds mostly fails: most probes exhaust every endpoint.
+    fn crowded_scene(seed: u64) -> AtomArray {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 28 + (seed % 5) as usize;
+        let mut sites: Vec<(u16, u16)> = (0..36u16).map(|i| (4 + i % 6, 4 + i / 6)).collect();
+        sites.shuffle(&mut rng);
+        let mut a = AtomArray::new(MachineSpec::quera_aquila_256(), n);
+        for (q, &site) in sites[..n].iter().enumerate() {
+            a.place_in_slm(q as u32, site);
+        }
+        // AOD atoms on distinct grid rows and columns, so line order can
+        // follow coordinate order.
+        let want = rng.random_range(8..15usize);
+        let mut aod: Vec<u32> = Vec::new();
+        for (q, &(x, y)) in sites[..n].iter().enumerate() {
+            if aod.len() < want
+                && aod.iter().all(|&o| sites[o as usize].0 != x && sites[o as usize].1 != y)
+            {
+                aod.push(q as u32);
+            }
+        }
+        let line_of = |key: fn((u16, u16)) -> u16| {
+            let mut by: Vec<u32> = aod.clone();
+            by.sort_by_key(|&q| key(sites[q as usize]));
+            by
+        };
+        let (by_y, by_x) = (line_of(|s| s.1), line_of(|s| s.0));
+        for &q in &aod {
+            let row = by_y.iter().position(|&o| o == q).unwrap() as u16;
+            let col = by_x.iter().position(|&o| o == q).unwrap() as u16;
+            a.transfer_to_aod(q, row, col).unwrap();
+        }
+        for _ in 0..3 {
+            let mover = aod[rng.random_range(0..aod.len())];
+            let target = rng.random_range(0..n as u32);
+            if mover != target {
+                if let Ok(plan) = plan_move_into_range(&a, mover, target, 7.5, 80) {
+                    a.apply_aod_moves(&plan.moves).unwrap();
+                }
+            }
+        }
+        a
+    }
+
+    /// Eight probes from `seed` on a crowded scene: `(mover, target, r)`.
+    fn crowded_probes(a: &AtomArray, seed: u64) -> Vec<(u32, u32, f64)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+        let aod: Vec<u32> = (0..a.num_qubits() as u32).filter(|&q| a.is_aod(q)).collect();
+        (0..8)
+            .filter_map(|_| {
+                let mover = aod[rng.random_range(0..aod.len())];
+                let target = rng.random_range(0..a.num_qubits() as u32);
+                (mover != target).then(|| (mover, target, rng.random_range(4.5..10.0)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crowded_scenes_fail_most_probes() {
+        let (mut probes, mut failed) = (0, 0);
+        for seed in 0..16 {
+            let a = crowded_scene(seed);
+            for (mover, target, r) in crowded_probes(&a, seed) {
+                probes += 1;
+                failed += usize::from(plan_move_into_range(&a, mover, target, r, 80).is_err());
+            }
+        }
+        assert!(2 * failed > probes, "{failed} of {probes} probes failed");
+    }
+
+    mod crowded_scenes_match_naive {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+            /// The incremental cascade against the naive oracle, which
+            /// re-checks its whole batch with the naive sweep on every
+            /// step and probes every endpoint, on crowded scenes where
+            /// most probes fail: plans bit-identical, failures shared.
+            #[test]
+            fn on_vqe_like_scenes(seed in 0u64..1 << 40) {
+                let a = crowded_scene(seed);
+                for (mover, target, r) in crowded_probes(&a, seed) {
+                    let pruned = plan_move_into_range(&a, mover, target, r, 80);
+                    let naive = plan_move_into_range_naive(&a, mover, target, r, 80);
+                    match (&pruned, &naive) {
+                        (Ok(p), Ok(n)) => {
+                            prop_assert_eq!(&p.moves, &n.moves);
+                            prop_assert_eq!(p.max_distance_um.to_bits(), n.max_distance_um.to_bits());
+                            prop_assert_eq!(p.recursion_used, n.recursion_used);
+                        }
+                        (Err(_), Err(_)) => {}
+                        other => {
+                            return Err(TestCaseError::fail(format!(
+                                "success disagreement: {other:?}"
+                            )));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     mod pruned_matches_naive_on_random_scenes {

@@ -13,9 +13,9 @@
 //! an incremental energy table (bit-identical to the reference objective;
 //! it re-sums only its non-zero pair terms and skips the `sqrt` of pairs
 //! beyond the repulsion range), and `parallax-core` caches finished layouts
-//! by (interaction-graph hash, machine fingerprint,
-//! [`PlacementConfig::fingerprint`]) so near-miss compilations skip the
-//! anneal entirely. Measured effect on the fixed-seed end-to-end benches
+//! by (interaction-graph hash, [`PlacementConfig::fingerprint`]) so
+//! near-miss compilations, and the same circuit on another machine, skip
+//! the anneal entirely. Measured effect on the fixed-seed end-to-end benches
 //! when the energy table and layout cache landed
 //! (10-sample means, same machine):
 //!

@@ -16,6 +16,9 @@ use crate::grid::{Site, SiteGrid};
 use crate::params::MachineSpec;
 use std::fmt;
 
+mod batch;
+pub use batch::MoveBatch;
+
 /// Which trap currently holds an atom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trap {
@@ -200,6 +203,8 @@ pub struct AtomArray {
     /// Per AOD column: owning qubit, or [`NO_OWNER`].
     col_owner: Vec<u32>,
     index: SpatialIndex,
+    /// Number of AOD-trapped qubits.
+    aod_count: usize,
     positions_epoch: u64,
 }
 
@@ -226,6 +231,7 @@ impl AtomArray {
             row_owner: vec![NO_OWNER; spec.aod_dim],
             col_owner: vec![NO_OWNER; spec.aod_dim],
             index,
+            aod_count: 0,
             positions_epoch: 0,
             spec,
         }
@@ -318,24 +324,20 @@ impl AtomArray {
         self.for_each_aod(|q| out.push((q, self.positions[q as usize])));
     }
 
-    /// Whether the current AOD configuration is exactly `snapshot` (same
-    /// qubits in the same traps at bitwise-equal positions). Equivalent to
+    /// Whether the current AOD configuration is exactly `snapshot`, a
+    /// value [`Self::aod_snapshot`] wrote (ascending, distinct ids): the
+    /// same qubits in the AOD at equal positions. Equivalent to
     /// `{ let mut s = vec![]; self.aod_snapshot(&mut s); s == snapshot }`
     /// without the allocation — the hot staleness check of the movement
     /// caches, where a stale epoch usually means "moved out and back home".
+    /// It walks the snapshot, not the qubits: every entry must still be
+    /// AOD-trapped at its position, and the AOD must hold no other atom,
+    /// which the AOD-atom count settles.
     pub fn aod_config_matches(&self, snapshot: &[(u32, Point)]) -> bool {
-        let mut rest = snapshot;
-        for (q, &tag) in self.trap_tags.iter().enumerate() {
-            if tag == TAG_AOD {
-                match rest.split_first() {
-                    Some((&(sq, sp), tail)) if sq == q as u32 && sp == self.positions[q] => {
-                        rest = tail;
-                    }
-                    _ => return false,
-                }
-            }
-        }
-        rest.is_empty()
+        snapshot.len() == self.aod_count
+            && snapshot.iter().all(|&(q, p)| {
+                self.trap_tags[q as usize] == TAG_AOD && self.positions[q as usize] == p
+            })
     }
 
     /// Visit every placed atom in the spatial-index cells overlapping the
@@ -394,6 +396,7 @@ impl AtomArray {
         }
         self.grid.vacate(site);
         self.set_trap_aod(q as usize, row, col);
+        self.aod_count += 1;
         self.row_owner[row as usize] = q;
         self.col_owner[col as usize] = q;
         self.row_y[row as usize] = pos.y;
@@ -439,6 +442,7 @@ impl AtomArray {
         }
         self.grid.vacate(site);
         self.set_trap_aod(q as usize, row, col);
+        self.aod_count += 1;
         self.row_owner[row as usize] = q;
         self.col_owner[col as usize] = q;
         self.row_y[row as usize] = y;
@@ -457,6 +461,7 @@ impl AtomArray {
             other => panic!("qubit {q} is not AOD-trapped (trap = {other:?})"),
         };
         self.grid.occupy(site);
+        self.aod_count -= 1;
         self.row_owner[row as usize] = NO_OWNER;
         self.col_owner[col as usize] = NO_OWNER;
         self.row_y[row as usize] = 0.0;
@@ -485,8 +490,8 @@ impl AtomArray {
 
     /// Commit a batch of AOD moves that the caller has already validated
     /// against this exact array state — the scheduler's planned batches,
-    /// which [`Self::first_aod_move_violation`] cleared before they were
-    /// returned, and its home-return batches, which restore a configuration
+    /// which a [`MoveBatch`] cleared before they were returned, and its
+    /// home-return batches, which restore a configuration
     /// the array held before. Release builds skip the scan that
     /// [`Self::apply_aod_moves`] runs; debug builds still run it and panic
     /// on a violation (the inline-diff convention of `docs/DATA_LAYOUT.md`).
@@ -514,137 +519,36 @@ impl AtomArray {
     }
 
     /// Check a batch of AOD moves, returning every violation of the *final*
-    /// configuration (empty = the batch is safe to commit).
+    /// configuration (empty = the batch is safe to commit), in the order
+    /// [`MoveBatch`] reports them. A qubit the batch repeats is reported
+    /// once per move, at its last move's position.
+    /// Debug builds diff the result against the naive sweep.
     pub fn check_aod_moves(&self, moves: &[AodMove]) -> Vec<Violation> {
-        let mut out = Vec::new();
-        self.scan_aod_moves(moves, |v| {
-            out.push(v);
-            true
-        });
-        out
+        let violations = MoveBatch::from_moves(self, moves).violations_in_order_of(moves);
+        #[cfg(debug_assertions)]
+        assert_eq!(violations, self.check_aod_moves_naive(moves), "on {moves:?}");
+        violations
     }
 
     /// First violation of a batch of AOD moves, or `None` when the batch is
-    /// safe. Exactly `check_aod_moves(moves).first().copied()`, but the scan
-    /// stops at the first hit — the movement planner's recursive resolver
-    /// (which only ever consumes the first violation) probes thousands of
-    /// candidate configurations per plan, and the full scan over every
-    /// atom pair was the compile hot spot on large circuits.
+    /// safe. Exactly `check_aod_moves(moves).first().copied()`. Debug
+    /// builds diff the result against the naive sweep.
     pub fn first_aod_move_violation(&self, moves: &[AodMove]) -> Option<Violation> {
-        let mut first = None;
-        self.scan_aod_moves(moves, |v| {
-            first = Some(v);
-            false
-        });
+        let first = MoveBatch::from_moves(self, moves).first_violation();
+        #[cfg(debug_assertions)]
+        assert_eq!(first, self.first_aod_move_violation_naive(moves), "on {moves:?}");
         first
-    }
-
-    /// Shared traversal behind [`Self::check_aod_moves`] and
-    /// [`Self::first_aod_move_violation`]: emits violations of the
-    /// hypothetical post-move configuration in a fixed order (bounds, row
-    /// ordering, column ordering, pairwise separation); `emit` returns
-    /// `false` to stop the scan. One traversal serving both callers keeps
-    /// the "first violation" — which steers every recursive move plan and
-    /// therefore the compiled schedule — identical between them by
-    /// construction.
-    ///
-    /// The hypothetical configuration is an *overlay* (small vectors of
-    /// moved qubits/lines consulted before the committed state) rather
-    /// than a clone of the full array, so a scan that exits early does
-    /// O(moves) setup work instead of O(atoms). The overlay is sorted once
-    /// (by qubit id, and each line list by index), so every lookup is a
-    /// binary search or a merge step (`docs/DATA_LAYOUT.md`).
-    fn scan_aod_moves(&self, moves: &[AodMove], mut emit: impl FnMut(Violation) -> bool) {
-        for m in moves {
-            if !self.is_aod(m.q) {
-                let trap = self.trap_of(m.q as usize);
-                panic!("qubit {} is not AOD-trapped (trap = {trap:?})", m.q);
-            }
-        }
-        // Overlay of the final configuration, ascending qubit id. A later
-        // move of the same qubit overwrites an earlier one, as a sequential
-        // commit would: pushed in reverse and stable-sorted, each qubit's
-        // last move heads its run, and `dedup` keeps the head.
-        let mut moved: Vec<(u32, Point)> = Vec::with_capacity(moves.len());
-        moved.extend(moves.iter().rev().map(|m| (m.q, Point::new(m.x, m.y))));
-        moved.sort_by_key(|&(q, _)| q);
-        moved.dedup_by_key(|&mut (q, _)| q);
-        // Each AOD atom owns its own row and column, so the overlay's lines
-        // are as distinct as its qubits: rows, then columns, in one buffer.
-        let mut lines: Vec<(u16, f64)> = Vec::with_capacity(2 * moved.len());
-        lines.extend(moved.iter().map(|&(q, p)| (self.trap_a[q as usize] as u16, p.y)));
-        lines.extend(moved.iter().map(|&(q, p)| (self.trap_b[q as usize] as u16, p.x)));
-        let (row_over, col_over) = lines.split_at_mut(moved.len());
-        row_over.sort_unstable_by_key(|&(line, _)| line);
-        col_over.sort_unstable_by_key(|&(line, _)| line);
-        let moved_at = |q: u32| moved.binary_search_by_key(&q, |&(mq, _)| mq);
-
-        // Bounds: atoms must stay within one pitch of the site grid.
-        let margin = self.grid.pitch_um();
-        let max = self.spec.extent_um() + margin;
-        for m in moves {
-            let p = moved[moved_at(m.q).expect("every mover is in the overlay")].1;
-            if (p.x < -margin || p.y < -margin || p.x > max || p.y > max)
-                && !emit(Violation::OutOfBounds { q: m.q })
-            {
-                return;
-            }
-        }
-        // Row/column ordering with the minimum line gap.
-        let gap = self.line_gap();
-        let rows_ok = walk_lines(&self.row_owner, &self.row_y, row_over, gap, |row_a, row_b| {
-            emit(Violation::RowOrdering { row_a, row_b })
-        });
-        if !rows_ok
-            || !walk_lines(&self.col_owner, &self.col_x, col_over, gap, |col_a, col_b| {
-                emit(Violation::ColOrdering { col_a, col_b })
-            })
-        {
-            return;
-        }
-        // Pairwise separation: every moved atom against every placed atom.
-        // Candidates within the separation distance come from the spatial
-        // occupancy index (committed positions); other *moved* atoms are
-        // excluded there — their indexed positions are stale — and checked
-        // against the overlay instead, each moved pair once, by its
-        // higher-id member. Each candidate carries its position. Only
-        // violators emit and candidate ids are unique, so dropping the
-        // rest before the sort leaves the emission sequence unchanged:
-        // ascending qubit id, exactly the naive full sweep's order, so the
-        // first violation (which steers every recursive move plan) is
-        // identical by construction.
-        let min_sep = self.spec.min_separation_um;
-        // Violators only, so this rarely allocates.
-        let mut candidates: Vec<(u32, Point)> = Vec::new();
-        for m in moves {
-            let p = moved[moved_at(m.q).expect("every mover is in the overlay")].1;
-            candidates.clear();
-            self.index.for_each_within(p, min_sep, |other| {
-                let po = self.positions[other as usize];
-                if violates_separation(&p, &po, min_sep) && moved_at(other).is_err() {
-                    candidates.push((other, po));
-                }
-            });
-            for &(other, po) in moved.iter().take_while(|&&(other, _)| other < m.q) {
-                if violates_separation(&p, &po, min_sep) {
-                    candidates.push((other, po));
-                }
-            }
-            candidates.sort_unstable_by_key(|&(other, _)| other);
-            for &(other, po) in &candidates {
-                if !emit(Violation::Separation { q1: m.q, q2: other, distance: p.distance(&po) }) {
-                    return;
-                }
-            }
-        }
     }
 
     /// Naive full-sweep twin of [`Self::check_aod_moves`]: identical
     /// semantics, O(moves × atoms) pairwise separation scan with no
-    /// spatial index. Kept as the test oracle for the indexed scan — the
+    /// spatial index. Kept as the oracle of [`MoveBatch`]: debug builds
+    /// diff every check and every cascade step against it, and the
     /// proptests assert both agree violation-for-violation on random
-    /// batches.
-    #[cfg(any(test, debug_assertions))]
+    /// batches and move sequences. Deliberately not cfg-gated: the movement
+    /// planner's naive twin in `parallax-core` checks with it, and
+    /// release-profile test builds of that crate compile against this
+    /// crate's release build.
     pub fn check_aod_moves_naive(&self, moves: &[AodMove]) -> Vec<Violation> {
         let mut out = Vec::new();
         self.scan_aod_moves_naive(moves, |v| {
@@ -654,8 +558,18 @@ impl AtomArray {
         out
     }
 
+    /// The naive sweep's first violation: [`Self::check_aod_moves_naive`]
+    /// stopped at its first entry.
+    pub fn first_aod_move_violation_naive(&self, moves: &[AodMove]) -> Option<Violation> {
+        let mut first = None;
+        self.scan_aod_moves_naive(moves, |v| {
+            first = Some(v);
+            false
+        });
+        first
+    }
+
     /// The pre-index traversal behind [`Self::check_aod_moves_naive`].
-    #[cfg(any(test, debug_assertions))]
     fn scan_aod_moves_naive(&self, moves: &[AodMove], mut emit: impl FnMut(Violation) -> bool) {
         let mut moved: Vec<(u32, Point)> = Vec::with_capacity(moves.len());
         let mut row_over: Vec<(u16, f64)> = Vec::with_capacity(moves.len());
@@ -843,38 +757,6 @@ impl AtomArray {
         }
         None
     }
-}
-
-/// Walk one axis's owned AOD lines in index order, each at its overlay
-/// coordinate when `over` (sorted by line, owned lines only) moves it and
-/// at its committed coordinate otherwise, and report every adjacent pair
-/// closer than `gap` as `(lower, higher)` line index. `report` returns
-/// `false` to stop the walk; so does this function.
-fn walk_lines(
-    owner: &[u32],
-    coord: &[f64],
-    over: &[(u16, f64)],
-    gap: f64,
-    mut report: impl FnMut(u16, u16) -> bool,
-) -> bool {
-    let mut over = over.iter().peekable();
-    let mut prev: Option<(u16, f64)> = None;
-    for (i, &o) in owner.iter().enumerate() {
-        if o == NO_OWNER {
-            continue;
-        }
-        let c = match over.next_if(|&&(line, _)| line as usize == i) {
-            Some(&(_, c)) => c,
-            None => coord[i],
-        };
-        if let Some((pi, pc)) = prev {
-            if c - pc < gap - 1e-9 && !report(pi, i as u16) {
-                return false;
-            }
-        }
-        prev = Some((i as u16, c));
-    }
-    true
 }
 
 #[cfg(test)]
@@ -1121,6 +1003,7 @@ mod tests {
         a.place_in_slm(0, (2, 2));
         a.place_in_slm(1, (6, 6));
         a.place_in_slm(2, (10, 2));
+        a.place_in_slm(3, (10, 10));
         a.transfer_to_aod(0, 0, 0).unwrap();
         a.transfer_to_aod(1, 1, 1).unwrap();
         let mut snap = Vec::new();
@@ -1141,6 +1024,13 @@ mod tests {
         let home = a.position(0);
         a.apply_aod_moves(&[AodMove { q: 0, x: 15.0, y: 15.0 }]).unwrap();
         a.apply_aod_moves(&[AodMove { q: 0, x: home.x, y: home.y }]).unwrap();
+        assert!(a.aod_config_matches(&snap));
+        // A qubit entering the AOD outside the snapshot breaks the match,
+        // though every snapshot entry still matches; releasing it back
+        // restores the match.
+        a.transfer_to_aod(3, 2, 2).unwrap();
+        assert!(!a.aod_config_matches(&snap));
+        a.release_to_slm(3, (10, 10));
         assert!(a.aod_config_matches(&snap));
     }
 
@@ -1196,7 +1086,7 @@ mod tests {
         }
 
         proptest! {
-            /// The spatial-index scan must agree with the naive full sweep
+            /// The batch check must agree with the naive full sweep
             /// violation-for-violation — the first violation steers every
             /// recursive move plan, and any divergence would change
             /// compiled schedules.
@@ -1237,8 +1127,8 @@ mod tests {
             /// Planner-sized batches: 17–64 moves over 35 AOD atoms, so
             /// qubits (and with them their rows and columns) repeat within
             /// a batch, with every endpoint clustered around some atom.
-            /// This is where the sorted overlay, its line merges and the
-            /// duplicate-move resolution do real work.
+            /// This is where the batch's line pairs, its moved separation
+            /// pairs and the duplicate-move reporting do real work.
             #[test]
             fn on_large_move_batches(
                 batch in proptest::collection::vec(
@@ -1257,6 +1147,59 @@ mod tests {
                 let naive = a.check_aod_moves_naive(&moves);
                 prop_assert_eq!(&a.check_aod_moves(&moves), &naive);
                 prop_assert_eq!(a.first_aod_move_violation(&moves), naive.first().copied());
+            }
+        }
+
+        /// One step of a random cascade-like sequence: move AOD atom `q`
+        /// by `(dx, dy)` from where `kind` says — 0: a neighbour's
+        /// committed position (`victim`, static or AOD), 1: its own
+        /// planned position (a re-move or a nudge), 2: a neighbour's
+        /// planned position (possibly another moved atom).
+        type Step = (u32, u32, u8, f64, f64);
+
+        /// Apply `steps` to one batch; after every step its violations must
+        /// equal the naive sweep over its moves, in order and bit for bit.
+        fn replay_against_naive(a: &AtomArray, steps: &[Step]) -> Result<(), TestCaseError> {
+            let mut batch = MoveBatch::new(a);
+            for &(q, victim, kind, dx, dy) in steps {
+                let from = match kind {
+                    0 => a.position(victim),
+                    1 => batch.position(q),
+                    _ => batch.position(victim),
+                };
+                batch.move_atom(q, Point::new(from.x + dx, from.y + dy));
+                let moves: Vec<AodMove> = batch.moves().collect();
+                let naive = a.check_aod_moves_naive(&moves);
+                let bits = |vs: &[Violation]| format!("{vs:?}");
+                prop_assert_eq!(bits(&batch.violations_in_order_of(&moves)), bits(&naive));
+                prop_assert_eq!(batch.first_violation(), naive.first().copied());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            /// The incremental batch on the crowded array: eight AOD atoms,
+            /// so steps re-move atoms already in the batch all the time.
+            #[test]
+            fn incremental_batch_on_crowded_sequences(
+                steps in proptest::collection::vec(
+                    (0..8u32, 0..24u32, 0..3u8, -4.0f64..4.0, -4.0f64..4.0),
+                    1..24,
+                )
+            ) {
+                replay_against_naive(&crowded_array(), &steps)?;
+            }
+
+            /// The same on Atom-1225 with 35 owned lines per axis, where a
+            /// step's line neighbours are mostly unmoved.
+            #[test]
+            fn incremental_batch_on_large_sequences(
+                steps in proptest::collection::vec(
+                    (0..LARGE_AOD, 0..LARGE_AOD + LARGE_STATIC, 0..3u8, -4.0f64..4.0, -4.0f64..4.0),
+                    1..32,
+                )
+            ) {
+                replay_against_naive(&large_array(), &steps)?;
             }
         }
 

@@ -51,7 +51,7 @@ pub mod geometry;
 pub mod grid;
 pub mod params;
 
-pub use array::{AodMove, AtomArray, Trap, Violation};
+pub use array::{AodMove, AtomArray, MoveBatch, Trap, Violation};
 pub use fingerprint::StableHasher;
 pub use geometry::{
     point_segment_distance, segment_distance, violates_separation, within_blockade,

@@ -9,9 +9,9 @@
 //!
 //! One hot-path property beyond the SciPy shape: **allocation-free inner
 //! loops.** The visiting/acceptance loop and every pattern-search probe
-//! reuse scratch buffers; [`AnnealResult::allocs`] counts the remaining
-//! (constant, setup-only) heap traffic so profiling can attest it stays
-//! flat as `evals` grows. Placement runs one seeded [`dual_annealing`] per
+//! reuse scratch buffers, so heap traffic is a setup-only constant that
+//! stays flat as `evals` grows (`tests/allocations.rs` counts it with a
+//! counting global allocator). Placement runs one seeded [`dual_annealing`] per
 //! layout, as the paper does; the reheats inside that run are counted in
 //! [`AnnealResult::restarts`].
 //!
@@ -83,10 +83,6 @@ pub struct AnnealResult {
     pub iterations: usize,
     /// Number of reheating restarts taken.
     pub restarts: usize,
-    /// Heap allocations performed. The visiting/acceptance inner loop and
-    /// every local-search probe are allocation-free, so this stays a small
-    /// constant plus four per local refinement — independent of `evals`.
-    pub allocs: usize,
 }
 
 /// Global minimization of `f` over the box `bounds`.
@@ -114,7 +110,6 @@ pub fn dual_annealing<F: FnMut(&[f64]) -> f64>(
     let mut best = current.clone();
     let mut best_e = current_e;
     let mut restarts = 0usize;
-    let mut allocs = 3usize; // current, best, candidate
 
     let restart_threshold = params.initial_temp * params.restart_temp_ratio;
     let mut step_within_cycle = 1usize;
@@ -168,7 +163,6 @@ pub fn dual_annealing<F: FnMut(&[f64]) -> f64>(
                 if params.local_search_evals > 0 {
                     let refined = pattern_search(&mut f, &best, bounds, params.local_search_evals);
                     evals += refined.evals;
-                    allocs += refined.allocs;
                     if refined.energy < best_e {
                         best.copy_from_slice(&refined.x);
                         best_e = refined.energy;
@@ -184,14 +178,13 @@ pub fn dual_annealing<F: FnMut(&[f64]) -> f64>(
     if params.local_search_evals > 0 {
         let refined = pattern_search(&mut f, &best, bounds, params.local_search_evals);
         evals += refined.evals;
-        allocs += refined.allocs;
         if refined.energy < best_e {
             best = refined.x;
             best_e = refined.energy;
         }
     }
 
-    AnnealResult { x: best, energy: best_e, evals, iterations, restarts, allocs }
+    AnnealResult { x: best, energy: best_e, evals, iterations, restarts }
 }
 
 /// Reflect/wrap a value into `(lo, hi)` the way SciPy folds visiting moves

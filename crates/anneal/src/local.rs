@@ -9,10 +9,8 @@
 //! The probe loop is **allocation-free**: a single candidate buffer mirrors
 //! the incumbent and only the probed coordinate is toggled, so every
 //! objective evaluation costs zero heap traffic (the annealer performs tens
-//! of thousands of probes per placement). The four setup allocations per
-//! call are counted in [`LocalResult::allocs`] so the placement stage
-//! counter (`parallax_stage_allocs_total`) can attest the inner loop stays
-//! allocation-free.
+//! of thousands of probes per placement); `tests/allocations.rs` pins that
+//! with a counting global allocator.
 
 /// Result of a local search.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,8 +21,6 @@ pub struct LocalResult {
     pub energy: f64,
     /// Number of objective evaluations consumed.
     pub evals: usize,
-    /// Heap allocations performed (setup only; the probe loop makes none).
-    pub allocs: usize,
 }
 
 /// Compass (coordinate pattern) search within `bounds`, starting from `x0`
@@ -46,7 +42,6 @@ pub fn pattern_search<F: FnMut(&[f64]) -> f64>(
     // `cand` mirrors `x` between probes; a probe toggles one coordinate and
     // either commits it into `x` or restores it — no per-probe clone.
     let mut cand = x.clone();
-    let allocs = 4; // x, steps, min_step, cand
 
     while evals < max_evals {
         let mut improved = false;
@@ -87,7 +82,7 @@ pub fn pattern_search<F: FnMut(&[f64]) -> f64>(
             }
         }
     }
-    LocalResult { x, energy, evals, allocs }
+    LocalResult { x, energy, evals }
 }
 
 #[cfg(test)]
@@ -130,16 +125,6 @@ mod tests {
         let f = |x: &[f64]| (x[0] - 0.25).abs() + (x[1] - 0.75).abs();
         let r = pattern_search(f, &[0.0, 0.0], &[(0.0, 1.0), (0.0, 1.0)], 10_000);
         assert!(r.energy < 1e-3, "energy = {}", r.energy);
-    }
-
-    #[test]
-    fn allocation_count_is_constant() {
-        // The probe loop must not allocate: the reported count is the fixed
-        // setup cost regardless of how many evaluations run.
-        let short = pattern_search(|x| x[0] * x[0], &[0.9], &[(-1.0, 1.0)], 8);
-        let long = pattern_search(|x| x[0] * x[0], &[0.9], &[(-1.0, 1.0)], 8_000);
-        assert_eq!(short.allocs, long.allocs);
-        assert!(long.evals > short.evals);
     }
 
     #[test]

@@ -82,13 +82,7 @@ pub fn scale_layout(qubits: usize, seed: u64) -> GraphineLayout {
             ((gx + jx) * scale, (gy + jy) * scale)
         })
         .collect();
-    GraphineLayout {
-        positions,
-        interaction_radius: 1.3 * scale,
-        energy: 0.0,
-        anneal_evals: 0,
-        anneal_allocs: 0,
-    }
+    GraphineLayout { positions, interaction_radius: 1.3 * scale, energy: 0.0, anneal_evals: 0 }
 }
 
 /// One cold compile of the scale circuit on `machine`: wall milliseconds

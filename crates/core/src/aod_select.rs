@@ -495,7 +495,6 @@ mod tests {
                 interaction_radius: 0.2,
                 energy: 0.0,
                 anneal_evals: 0,
-                anneal_allocs: 0,
             };
             let spec = if big { MachineSpec::atom_1225() } else { MachineSpec::quera_aquila_256() };
             let c = b.build();

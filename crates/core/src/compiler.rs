@@ -94,11 +94,6 @@ impl ParallaxCompiler {
         std::sync::Arc::new(Self::new(machine, config))
     }
 
-    /// Wrap this compiler into a [`SharedCompiler`] handle.
-    pub fn into_shared(self) -> SharedCompiler {
-        std::sync::Arc::new(self)
-    }
-
     /// The machine this compiler targets.
     pub fn machine(&self) -> &MachineSpec {
         &self.machine

@@ -157,7 +157,6 @@ mod tests {
             interaction_radius: 0.0,
             energy: 0.0,
             anneal_evals: 0,
-            anneal_allocs: 0,
         };
         let d = discretize(&c, &layout, MachineSpec::quera_aquila_256());
         assert_eq!(d.array.grid().occupied_count(), 5);
@@ -180,7 +179,6 @@ mod tests {
             interaction_radius: 1.0 / 15.0,
             energy: 0.0,
             anneal_evals: 0,
-            anneal_allocs: 0,
         };
         let d = discretize(&c, &layout, MachineSpec::quera_aquila_256());
         assert_eq!(d.array.grid().occupied_count(), 256);
@@ -195,7 +193,6 @@ mod tests {
             interaction_radius: 0.0,
             energy: 0.0,
             anneal_evals: 0,
-            anneal_allocs: 0,
         };
         let _ = discretize(&c, &layout, MachineSpec::quera_aquila_256());
     }

@@ -130,26 +130,23 @@ fn global() -> &'static Mutex<LayoutCache> {
 }
 
 /// Fetch or anneal the layout for `graph` under the given placement
-/// parameters; the boolean reports whether the cache answered.
+/// parameters.
 ///
 /// Misses anneal **outside** the cache lock and publish afterwards; if two
 /// threads race the same key both anneal the identical (deterministic)
 /// layout, so last-write-wins is harmless.
-pub fn lookup_or_generate(
-    graph: &InteractionGraph,
-    placement: &PlacementConfig,
-) -> (GraphineLayout, bool) {
+pub fn lookup_or_generate(graph: &InteractionGraph, placement: &PlacementConfig) -> GraphineLayout {
     let key = LayoutKey::new(graph, placement);
     let probe = {
         let _s = parallax_trace::span!("cache.layout.probe");
         global().lock().expect("layout cache lock").get(&key).cloned()
     };
     if let Some(layout) = probe {
-        return (layout, true);
+        return layout;
     }
     let layout = GraphineLayout::from_graph(graph, placement);
     insert_layout(&mut global().lock().expect("layout cache lock"), key, layout.clone());
-    (layout, false)
+    layout
 }
 
 /// [`lookup_or_generate`] starting from a circuit, with the placement
@@ -168,10 +165,9 @@ pub(crate) fn cached_layout_and_graph(
     circuit: &parallax_circuit::Circuit,
     placement: &PlacementConfig,
 ) -> (InteractionGraph, GraphineLayout) {
-    let mut t = profile::stage(Stage::Placement);
+    let _t = profile::stage(Stage::Placement);
     let graph = InteractionGraph::from_circuit(circuit);
-    let (layout, hit) = lookup_or_generate(&graph, placement);
-    t.set_allocs(if hit { 0 } else { layout.anneal_allocs as u64 });
+    let layout = lookup_or_generate(&graph, placement);
     (graph, layout)
 }
 
@@ -252,7 +248,6 @@ mod tests {
             interaction_radius: tag,
             energy: tag,
             anneal_evals: 1,
-            anneal_allocs: 1,
         }
     }
 

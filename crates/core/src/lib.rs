@@ -118,6 +118,6 @@ pub fn register_observability() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(layout_cache::register_cache_metrics);
 }
-pub use parallelize::{replication_plan, sweep_factors, ReplicationPlan};
+pub use parallelize::{replication_plan, ReplicationPlan};
 pub use scheduler::{schedule_gates, CompileStats, MultiMoverStats, Schedule, ScheduledLayer};
 pub use template::{compiled_template, compiled_template_keyed, template_key, CompiledTemplate};

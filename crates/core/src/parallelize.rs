@@ -65,20 +65,6 @@ pub fn replication_plan(result: &CompilationResult, machine: &MachineSpec) -> Re
     plan
 }
 
-/// All meaningful parallelization factors for sweeping (Fig. 11's x-axis):
-/// square-ish grids `1, 4, 9, ...` capped by the machine's plan.
-pub fn sweep_factors(result: &CompilationResult, machine: &MachineSpec) -> Vec<usize> {
-    let max = replication_plan(result, machine);
-    let mut out = Vec::new();
-    for k in 1..=max.copies_x.max(max.copies_y) {
-        let f = (k.min(max.copies_x)) * (k.min(max.copies_y));
-        if out.last() != Some(&f) {
-            out.push(f);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,16 +106,6 @@ mod tests {
     fn factor_is_product() {
         let p = ReplicationPlan { copies_x: 3, copies_y: 4 };
         assert_eq!(p.factor(), 12);
-    }
-
-    #[test]
-    fn sweep_is_monotone_and_starts_at_one() {
-        let r = small_result();
-        let sweep = sweep_factors(&r, &MachineSpec::atom_1225());
-        assert_eq!(sweep[0], 1);
-        for w in sweep.windows(2) {
-            assert!(w[1] > w[0]);
-        }
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //!   branch — no clock reads, no atomics — because a compile opens
 //!   thousands of them.
 //!
-//! Counters live in the process-wide `parallax-trace` metrics registry
-//! (families `parallax_stage_calls_total`, `parallax_stage_time_ns_total`,
-//! `parallax_stage_allocs_total`, one series per `stage` label), which lets
-//! every surface report them: the compile service embeds [`snapshot`] in
-//! its `STATS` response (rendered by `parallax-client stats`), the same
-//! numbers appear in the `METRICS` Prometheus exposition, and the
-//! `experiments` binary prints the table to stderr after every run.
+//! Each stage keeps two counters, completed calls and accumulated time,
+//! in the process-wide `parallax-trace` metrics registry (families
+//! `parallax_stage_calls_total` and `parallax_stage_time_ns_total`, one
+//! series per `stage` label), which lets every surface report them: the
+//! compile service embeds [`snapshot`] in its `STATS` response (rendered
+//! by `parallax-client stats`), the same numbers appear in the `METRICS`
+//! Prometheus exposition, and the `experiments` binary prints the table to
+//! stderr after every run.
 
 use parallax_trace::{Counter, Span};
 use std::sync::OnceLock;
@@ -65,10 +66,9 @@ pub const STAGE_NAMES: [&str; 8] = [
 struct StageCounters {
     calls: Counter,
     time_ns: Counter,
-    allocs: Counter,
 }
 
-// Registry handles resolve once; afterwards a stage record is three
+// Registry handles resolve once; afterwards a stage record is two
 // relaxed fetch_adds, same as the pre-registry static table. Sub-stage
 // display names carry a two-space indent for the text table; the metric
 // label is the trimmed name.
@@ -80,7 +80,6 @@ fn table() -> &'static [StageCounters; 8] {
             StageCounters {
                 calls: parallax_trace::counter("parallax_stage_calls_total", &labels),
                 time_ns: parallax_trace::counter("parallax_stage_time_ns_total", &labels),
-                allocs: parallax_trace::counter("parallax_stage_allocs_total", &labels),
             }
         })
     })
@@ -104,15 +103,6 @@ pub struct StageGuard {
     span: Span,
     /// Own start reading, taken only by a pipeline stage without a live span.
     start_ns: u64,
-    allocs: u64,
-}
-
-impl StageGuard {
-    /// Heap allocations to report for this interval (placement: the
-    /// annealer's; blockade: the bucket scratch's growth).
-    pub fn set_allocs(&mut self, allocs: u64) {
-        self.allocs = allocs;
-    }
 }
 
 impl Drop for StageGuard {
@@ -124,7 +114,7 @@ impl Drop for StageGuard {
             }
             None => return,
         };
-        record_raw(self.stage, ns, self.allocs);
+        record_raw(self.stage, ns);
     }
 }
 
@@ -145,15 +135,14 @@ pub fn stage(stage: Stage) -> StageGuard {
     let span = Span::enter_interned(&NAME_IDS[i], SPAN_NAMES[i]);
     let start_ns =
         if is_pipeline(stage) && !span.is_active() { parallax_trace::now_ns() } else { 0 };
-    StageGuard { stage, span, start_ns, allocs: 0 }
+    StageGuard { stage, span, start_ns }
 }
 
 /// Add one observation to `stage`'s counters.
-fn record_raw(stage: Stage, time_ns: u64, allocs: u64) {
+fn record_raw(stage: Stage, time_ns: u64) {
     let c = &table()[stage as usize];
     c.calls.inc();
     c.time_ns.add(time_ns);
-    c.allocs.add(allocs);
 }
 
 /// One stage's accumulated counters.
@@ -165,8 +154,6 @@ pub struct StageSnapshot {
     pub calls: u64,
     /// Cumulative wall-clock time, µs.
     pub total_us: u64,
-    /// Cumulative annealer heap allocations (placement stage only).
-    pub allocs: u64,
 }
 
 /// Snapshot every stage (zeros for a stage that never ran).
@@ -178,7 +165,6 @@ pub fn snapshot() -> Vec<StageSnapshot> {
             stage,
             calls: c.calls.get(),
             total_us: c.time_ns.get() / 1_000,
-            allocs: c.allocs.get(),
         })
         .collect()
 }
@@ -187,14 +173,13 @@ pub fn snapshot() -> Vec<StageSnapshot> {
 /// prints this to stderr after every run).
 pub fn render() -> String {
     let snap = snapshot();
-    let mut out = String::from("stage        calls     total_ms      allocs\n");
+    let mut out = String::from("stage        calls     total_ms\n");
     for s in &snap {
         out.push_str(&format!(
-            "{:<12} {:>6} {:>12.3} {:>11}\n",
+            "{:<12} {:>6} {:>12.3}\n",
             s.stage,
             s.calls,
-            s.total_us as f64 / 1e3,
-            s.allocs
+            s.total_us as f64 / 1e3
         ));
     }
     out
@@ -209,20 +194,15 @@ mod tests {
     #[test]
     fn records_accumulate_and_render() {
         let before = snapshot();
-        record_raw(Stage::Placement, 2_500, 7);
-        record_raw(Stage::Placement, 1_500, 3);
-        record_raw(Stage::Schedule, 9_000, 0);
+        record_raw(Stage::Placement, 2_500);
+        record_raw(Stage::Placement, 1_500);
+        record_raw(Stage::Schedule, 9_000);
         let after = snapshot();
-        let d = |i: usize| {
-            (
-                after[i].calls - before[i].calls,
-                after[i].total_us - before[i].total_us,
-                after[i].allocs - before[i].allocs,
-            )
-        };
-        let (calls, us, allocs) = d(Stage::Placement as usize);
-        assert!(calls >= 2 && us >= 4 && allocs >= 10, "{calls} {us} {allocs}");
-        let (calls, us, _) = d(Stage::Schedule as usize);
+        let d =
+            |i: usize| (after[i].calls - before[i].calls, after[i].total_us - before[i].total_us);
+        let (calls, us) = d(Stage::Placement as usize);
+        assert!(calls >= 2 && us >= 4, "{calls} {us}");
+        let (calls, us) = d(Stage::Schedule as usize);
         assert!(calls >= 1 && us >= 9);
         let table = render();
         assert!(table.contains("placement") && table.contains("schedule"));
@@ -238,9 +218,7 @@ mod tests {
         if !parallax_trace::enabled() {
             let before = snapshot();
             drop(stage(Stage::Schedule));
-            let mut guard = stage(Stage::ScheduleReturn);
-            guard.set_allocs(5);
-            drop(guard);
+            drop(stage(Stage::ScheduleReturn));
             let after = snapshot();
             let (s, r) = (Stage::Schedule as usize, Stage::ScheduleReturn as usize);
             assert!(after[s].calls > before[s].calls);

@@ -126,14 +126,6 @@ pub struct CompileStats {
     /// hits, a scheduling-cost counter — reused plans are bit-identical
     /// to fresh cascades by planner purity, so the schedule is unchanged.
     pub plan_cache_hits: usize,
-    /// Heap allocations performed by the scheduler's bucketed blockade
-    /// scratch over the whole compile: the bucket grid itself plus every
-    /// capacity growth of a bucket or the occupied-cell list. The scratch
-    /// is cleared (not freed) between layers, so in the steady state this
-    /// stays at its warm-up value no matter how many layers run — a
-    /// scheduling-cost counter like the memo hits; the naive twin has no
-    /// buckets and reports 0.
-    pub bucket_scratch_allocs: usize,
     /// Home-return entries skipped because the atom's position epoch is
     /// unchanged since the layer that last moved it — it is already parked
     /// at home, so the batched return pass drops it without a distance
@@ -176,7 +168,7 @@ impl CompileStats {
     pub fn publish_metrics(&self) {
         type StatRow = (parallax_trace::Counter, fn(&CompileStats) -> u64);
         struct Handles {
-            table: [StatRow; 17],
+            table: [StatRow; 16],
         }
         static HANDLES: std::sync::OnceLock<Handles> = std::sync::OnceLock::new();
         let h = HANDLES.get_or_init(|| {
@@ -196,7 +188,6 @@ impl CompileStats {
                     (c("deferred_gates"), |s| s.deferred_gates as u64),
                     (c("blockade_ejections"), |s| s.blockade_ejections as u64),
                     (c("plan_memo_hits"), |s| s.plan_cache_hits as u64),
-                    (c("bucket_scratch_allocs"), |s| s.bucket_scratch_allocs as u64),
                     (c("home_return_skips"), |s| s.home_return_skips as u64),
                     (c("multi_mover_compiles"), |s| u64::from(s.multi_mover.enabled)),
                     (c("multi_mover_layers_saved"), |s| s.multi_mover.layers_saved as u64),
@@ -362,11 +353,6 @@ struct BlockadeIndex {
     reach_um: f64,
     buckets: Vec<Vec<Point>>,
     occupied: Vec<usize>,
-    /// Heap allocations this scratch has performed: the bucket grid plus
-    /// every capacity growth of a bucket or the occupied list. Feeds
-    /// [`CompileStats::bucket_scratch_allocs`] — `clear` keeps capacity,
-    /// so a compile's count plateaus once the per-layer working set fits.
-    allocs: usize,
 }
 
 impl BlockadeIndex {
@@ -377,7 +363,6 @@ impl BlockadeIndex {
             cells,
             reach_um: blockade_um + 1e-3,
             occupied: Vec::new(),
-            allocs: 1,
         }
     }
 
@@ -391,13 +376,7 @@ impl BlockadeIndex {
     fn insert(&mut self, p: Point) {
         let b = self.cells.cell_of(p);
         if self.buckets[b].is_empty() {
-            if self.occupied.len() == self.occupied.capacity() {
-                self.allocs += 1;
-            }
             self.occupied.push(b);
-        }
-        if self.buckets[b].len() == self.buckets[b].capacity() {
-            self.allocs += 1;
         }
         self.buckets[b].push(p);
     }
@@ -718,8 +697,7 @@ pub fn schedule_gates(
         // ---- Lines 21-22: Rydberg blockade interference ejection. ----
         // A trap-changed atom spends the gate adjacent to its partner, so
         // its effective position is its partner's side.
-        let mut t = profile::stage(Stage::ScheduleBlockade);
-        let allocs_before = blockade.allocs;
+        let t = profile::stage(Stage::ScheduleBlockade);
         for &g in &kept {
             if let Gate::Cz { a, b } = gates[g] {
                 let mut pa = layout.array.position(a);
@@ -760,7 +738,6 @@ pub fn schedule_gates(
                 }
             }
         }
-        t.set_allocs((blockade.allocs - allocs_before) as u64);
         drop(t);
         assert!(
             !accepted.is_empty(),
@@ -848,7 +825,6 @@ pub fn schedule_gates(
     }
     stats.failed_move_memo_hits = memo.err_hits;
     stats.plan_cache_hits = memo.ok_hits;
-    stats.bucket_scratch_allocs = blockade.allocs;
     stats.publish_metrics();
 
     let schedule = Schedule { layers, stats };
@@ -1329,7 +1305,6 @@ mod tests {
         let mut stats = s_fast.stats.clone();
         stats.failed_move_memo_hits = 0;
         stats.plan_cache_hits = 0;
-        stats.bucket_scratch_allocs = 0;
         stats.home_return_skips = 0;
         assert_eq!(stats, s_naive.stats);
         for q in 0..n as u32 {
@@ -1688,7 +1663,6 @@ mod tests {
                 let mut stats = s_fast.stats.clone();
                 stats.failed_move_memo_hits = 0;
                 stats.plan_cache_hits = 0;
-                        stats.bucket_scratch_allocs = 0;
                 stats.home_return_skips = 0;
                 prop_assert_eq!(&stats, &s_naive.stats);
                 for q in 0..10u32 {
@@ -1720,7 +1694,6 @@ mod tests {
                 let mut stats = s_fast.stats.clone();
                 stats.failed_move_memo_hits = 0;
                 stats.plan_cache_hits = 0;
-                        stats.bucket_scratch_allocs = 0;
                 stats.home_return_skips = 0;
                 prop_assert_eq!(&stats, &s_naive.stats);
             }

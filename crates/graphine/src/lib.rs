@@ -71,8 +71,6 @@ pub struct GraphineLayout {
     pub energy: f64,
     /// Annealer objective evaluations spent producing this layout.
     pub anneal_evals: usize,
-    /// Annealer heap allocations (see [`Placement::allocs`]).
-    pub anneal_allocs: usize,
 }
 
 impl GraphineLayout {
@@ -96,7 +94,6 @@ impl GraphineLayout {
             interaction_radius,
             energy: placement.energy,
             anneal_evals: placement.evals,
-            anneal_allocs: placement.allocs,
         }
     }
 }

@@ -60,9 +60,6 @@ pub struct Placement {
     pub energy: f64,
     /// Objective evaluations spent.
     pub evals: usize,
-    /// Heap allocations the annealer performed; stays tiny because the
-    /// inner loops are allocation-free.
-    pub allocs: usize,
 }
 
 /// The placement objective: weighted squared edge lengths plus soft-core
@@ -311,10 +308,10 @@ impl<'g> EnergyTable<'g> {
 pub fn place(graph: &InteractionGraph, config: &PlacementConfig) -> Placement {
     let q = graph.num_qubits;
     if q == 0 {
-        return Placement { positions: Vec::new(), energy: 0.0, evals: 0, allocs: 0 };
+        return Placement { positions: Vec::new(), energy: 0.0, evals: 0 };
     }
     if q == 1 {
-        return Placement { positions: vec![(0.5, 0.5)], energy: 0.0, evals: 0, allocs: 1 };
+        return Placement { positions: vec![(0.5, 0.5)], energy: 0.0, evals: 0 };
     }
     let bounds = vec![(0.0, 1.0); 2 * q];
     let params = AnnealParams {
@@ -336,7 +333,7 @@ pub fn place(graph: &InteractionGraph, config: &PlacementConfig) -> Placement {
     };
     let result = dual_annealing(objective, &bounds, &params);
     let positions = (0..q).map(|i| (result.x[2 * i], result.x[2 * i + 1])).collect::<Vec<_>>();
-    Placement { positions, energy: result.energy, evals: result.evals, allocs: result.allocs }
+    Placement { positions, energy: result.energy, evals: result.evals }
 }
 
 #[cfg(test)]

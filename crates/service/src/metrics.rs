@@ -153,11 +153,6 @@ impl Metrics {
         }
     }
 
-    /// Bump `counter` by one.
-    pub fn inc(counter: &Counter) {
-        counter.inc();
-    }
-
     /// Snapshot every counter (plus the caller-supplied queue gauges) as
     /// the `STATS` payload. `cache` is the per-server result cache; the
     /// process-wide sub-objects (`layout_cache`, `template_cache`,
@@ -225,7 +220,6 @@ impl Metrics {
                     ("stage", Json::Str(s.stage.to_string())),
                     ("calls", Json::Int(s.calls)),
                     ("total_us", Json::Int(s.total_us)),
-                    ("allocs", Json::Int(s.allocs)),
                 ])
             })
             .collect();
@@ -287,8 +281,8 @@ mod tests {
     #[test]
     fn stats_snapshot_includes_gauges() {
         let m = Metrics::default();
-        Metrics::inc(&m.submitted);
-        Metrics::inc(&m.cache_hits);
+        m.submitted.inc();
+        m.cache_hits.inc();
         let j = m.to_json(3, 64, Json::obj(vec![("len", Json::Num(1.0))]));
         assert_eq!(j.get("submitted").and_then(Json::as_u64), Some(1));
         assert_eq!(j.get("cache_hits").and_then(Json::as_u64), Some(1));

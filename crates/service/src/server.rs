@@ -180,7 +180,7 @@ impl Tier for ServerCore {
     }
 
     fn count_rejected_frame(&self) {
-        Metrics::inc(&self.shared.metrics.bad_requests);
+        self.shared.metrics.bad_requests.inc();
     }
 
     fn stop(&self) {
@@ -207,7 +207,7 @@ fn handle_request(line: &str, core: &ServerCore) -> (String, bool) {
     let shared = &core.shared;
     match parse_request(line) {
         Err(e) => {
-            Metrics::inc(&shared.metrics.bad_requests);
+            shared.metrics.bad_requests.inc();
             (error_response(&e, None), false)
         }
         Ok(Request::Ping) => (
@@ -299,13 +299,13 @@ fn handle_submit(req: &SubmitRequest, core: &ServerCore) -> String {
     // worker's compile.
     let _scope = parallax_trace::trace_id_scope(trace_num);
     if !core.accepting.load(Ordering::SeqCst) {
-        Metrics::inc(&shared.metrics.rejected_shutdown);
+        shared.metrics.rejected_shutdown.inc();
         return error_response("server is shutting down", req.id);
     }
     let (compiler, circuit) = match req.resolve() {
         Ok(pair) => pair,
         Err(e) => {
-            Metrics::inc(&shared.metrics.bad_requests);
+            shared.metrics.bad_requests.inc();
             return error_response(&e, req.id);
         }
     };
@@ -313,7 +313,7 @@ fn handle_submit(req: &SubmitRequest, core: &ServerCore) -> String {
     let key =
         CacheKey { circuit: circuit_content_hash(&circuit), compiler: compiler.fingerprint() };
     if let Some(payload) = shared.cache.lock().expect("cache lock").get(&key).cloned() {
-        Metrics::inc(&shared.metrics.cache_hits);
+        shared.metrics.cache_hits.inc();
         let response = ok_response(req.id, &trace, true, &payload, arrived);
         shared.metrics.latency.record(arrived.elapsed().as_micros() as u64);
         return response;
@@ -323,21 +323,21 @@ fn handle_submit(req: &SubmitRequest, core: &ServerCore) -> String {
     let job = Job { circuit, compiler, key, trace_id: trace_num, reply: reply_tx };
     match shared.queue.push_timeout(job, req.priority, core.enqueue_timeout) {
         Err(PushError::Full(_)) => {
-            Metrics::inc(&shared.metrics.rejected_full);
+            shared.metrics.rejected_full.inc();
             return error_response(
                 &format!("queue full ({} jobs queued); retry later", shared.queue.capacity()),
                 req.id,
             );
         }
         Err(PushError::Closed(_)) => {
-            Metrics::inc(&shared.metrics.rejected_shutdown);
+            shared.metrics.rejected_shutdown.inc();
             return error_response("server is shutting down", req.id);
         }
         Ok(()) => {
             // Count the miss only once the job is actually accepted, so a
             // queue-full storm doesn't masquerade as a collapsing hit rate.
-            Metrics::inc(&shared.metrics.cache_misses);
-            Metrics::inc(&shared.metrics.submitted);
+            shared.metrics.cache_misses.inc();
+            shared.metrics.submitted.inc();
         }
     }
     let response = match reply_rx.recv() {
@@ -380,13 +380,13 @@ fn handle_sweep(req: &SweepRequest, core: &ServerCore) -> String {
     // rebind span lands in the same tree.
     let _scope = parallax_trace::trace_id_scope(trace_num);
     if !core.accepting.load(Ordering::SeqCst) {
-        Metrics::inc(&shared.metrics.rejected_shutdown);
+        shared.metrics.rejected_shutdown.inc();
         return error_response("server is shutting down", id);
     }
     let (compiler, circuit) = match req.submit.resolve() {
         Ok(pair) => pair,
         Err(e) => {
-            Metrics::inc(&shared.metrics.bad_requests);
+            shared.metrics.bad_requests.inc();
             return error_response(&e, id);
         }
     };
@@ -396,7 +396,7 @@ fn handle_sweep(req: &SweepRequest, core: &ServerCore) -> String {
     let expected = CircuitTemplate::from_circuit(&circuit).num_params();
     for (i, point) in req.params.iter().enumerate() {
         if point.len() != expected {
-            Metrics::inc(&shared.metrics.bad_requests);
+            shared.metrics.bad_requests.inc();
             return error_response(
                 &format!(
                     "sweep point {i}: parameter count mismatch: template has {expected} \
@@ -407,7 +407,7 @@ fn handle_sweep(req: &SweepRequest, core: &ServerCore) -> String {
             );
         }
         if let Some(j) = point.iter().position(|v| !v.is_finite()) {
-            Metrics::inc(&shared.metrics.bad_requests);
+            shared.metrics.bad_requests.inc();
             return error_response(
                 &format!("sweep point {i}: parameter {j} is not finite ({})", point[j]),
                 id,
@@ -436,20 +436,20 @@ fn handle_sweep(req: &SweepRequest, core: &ServerCore) -> String {
             Err(e) => {
                 // Unreachable after the up-front validation, but a sweep
                 // must never panic the connection thread.
-                Metrics::inc(&shared.metrics.bad_requests);
+                shared.metrics.bad_requests.inc();
                 return error_response(&format!("sweep point {i}: {e}"), id);
             }
         };
         let bound_hash = parallax_circuit::circuit_bits_hash(&bound);
         let ns = t0.elapsed().as_nanos() as u64;
         let payload = payload.get_or_insert_with(|| compile_payload(template.result()).encode());
-        Metrics::inc(&shared.metrics.sweep_points);
+        shared.metrics.sweep_points.inc();
         if cached {
             hits += 1;
-            Metrics::inc(&shared.metrics.template_cache_hits);
+            shared.metrics.template_cache_hits.inc();
             shared.metrics.rebind_ns.add(ns);
         } else {
-            Metrics::inc(&shared.metrics.template_cache_misses);
+            shared.metrics.template_cache_misses.inc();
         }
         let mut line = String::with_capacity(payload.len() + 96);
         let _ = write!(

@@ -1,16 +1,15 @@
 //! The compile worker pool.
 //!
-//! Workers pop jobs off the shared [`JobQueue`] (highest priority first),
-//! drive [`ParallaxCompiler::compile`], publish the canonical payload into
-//! the result cache, and hand the outcome back to the submitting
-//! connection over the job's reply channel. A panicking compilation is
-//! caught and surfaced as a per-job failure — one poisoned circuit cannot
-//! take a worker (or the server) down.
+//! Workers pop jobs off the shared [`JobQueue`](crate::queue::JobQueue)
+//! (highest priority first), drive [`ParallaxCompiler::compile`], publish
+//! the canonical payload into the result cache, and hand the outcome back
+//! to the submitting connection over the job's reply channel. A panicking
+//! compilation is caught and surfaced as a per-job failure — one poisoned
+//! circuit cannot take a worker (or the server) down.
 
 use crate::cache::{insert_payload, CacheKey};
 use crate::metrics::Metrics;
 use crate::protocol::compile_payload;
-use crate::queue::JobQueue;
 use crate::ServiceShared;
 use parallax_circuit::Circuit;
 use parallax_core::ParallaxCompiler;
@@ -103,11 +102,11 @@ fn run_job(job: &Job, metrics: &Metrics, publish: impl FnOnce(CacheKey, String))
         Ok(result) => {
             let payload = compile_payload(&result).encode();
             publish(job.key, payload.clone());
-            Metrics::inc(&metrics.completed);
+            metrics.completed.inc();
             JobOutcome::Done { payload, compile_us: started.elapsed().as_micros() as u64 }
         }
         Err(panic) => {
-            Metrics::inc(&metrics.failed);
+            metrics.failed.inc();
             JobOutcome::Failed { error: panic_message(panic) }
         }
     }
@@ -124,9 +123,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         "non-string panic payload".to_string()
     }
 }
-
-/// Queue type alias used across the service.
-pub type ServiceQueue = JobQueue<Job>;
 
 #[cfg(test)]
 mod tests {

@@ -7,14 +7,12 @@
 //!   and trap changes;
 //! * [`fidelity`] — analytic probability of success (Fig. 10): gate-error
 //!   product times T1/T2 decoherence decay;
-//! * [`monte_carlo`] — sampled noisy shots including atom loss and readout;
 //! * [`statevector`] / [`equivalence`] — a dense simulator used to verify
 //!   that every compiler's output implements the input circuit's unitary
 //!   (up to the SWAP-routing permutation for baselines).
 
 pub mod equivalence;
 pub mod fidelity;
-pub mod monte_carlo;
 pub mod runtime;
 pub mod statevector;
 
@@ -25,7 +23,6 @@ pub use fidelity::{
     decoherence_factor, gate_success, success_probability, success_probability_with_readout,
     FidelityInputs,
 };
-pub use monte_carlo::{run_monte_carlo, MonteCarloResult};
 pub use runtime::{baseline_runtime_us, parallax_runtime_us, ShotModel};
 pub use statevector::{simulate, StateVector, MAX_SIM_QUBITS};
 

@@ -218,7 +218,6 @@ mod against_naive_oracles {
             let mut stats = s_fast.stats.clone();
             stats.failed_move_memo_hits = 0;
             stats.plan_cache_hits = 0;
-            stats.bucket_scratch_allocs = 0;
             stats.home_return_skips = 0;
             prop_assert_eq!(&stats, &s_naive.stats);
             for q in 0..circuit.num_qubits() as u32 {
@@ -265,7 +264,6 @@ mod against_naive_oracles {
         let mut stats = s_fast.stats.clone();
         stats.failed_move_memo_hits = 0;
         stats.plan_cache_hits = 0;
-        stats.bucket_scratch_allocs = 0;
         stats.home_return_skips = 0;
         assert_eq!(stats, s_naive.stats);
         for q in 0..40u32 {
